@@ -135,7 +135,7 @@ def _certificates(config):
             certs.append(Certificate(
                 kind="lyapunov_const", satisfied=True, margin=lyap.lam,
                 witness={"lambda": lyap.lam, "residual": lyap.residual},
-                notes=f"dense solve residual {lyap.residual:.3e}"))
+                notes=f"Bartels-Stewart residual {lyap.residual:.3e}"))
     else:
         try:
             c_mat = (config.lyapunov_C if config.lyapunov_C is not None

@@ -23,7 +23,7 @@ from .errors import (
     SolveFailureError,
     UnstableError,
 )
-from .model import PD_EIG_TOL, _as_matrix
+from .model import PD_EIG_TOL, _as_matrix, _solve_lyapunov
 
 __all__ = [
     "Certificate",
@@ -271,9 +271,9 @@ def lyapunov_matrix_const(gamma, rhs=None, rtol=1e-9):
     """Solve the continuous Lyapunov equation and rescale min eig(C) to 1.
 
     Stability of -Gamma is checked first (it guarantees existence for SPD
-    right-hand sides).  The dense solve vectorizes the unknown with Kronecker
-    products; the residual is re-verified by plain matrix multiplication,
-    relative to the scaled right-hand side.
+    right-hand sides).  The equation is solved by Bartels-Stewart; the
+    residual is re-verified by plain matrix multiplication, relative to the
+    scaled right-hand side.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     dim = gamma.shape[0]
@@ -283,14 +283,9 @@ def lyapunov_matrix_const(gamma, rhs=None, rtol=1e-9):
     if margin <= 0:
         raise UnstableError(f"-Gamma is not stable (margin {margin:.3e})")
 
-    lhs = np.kron(np.eye(dim), gamma.T) + np.kron(gamma.T, np.eye(dim))
-    try:
-        c = np.linalg.solve(lhs, rhs.reshape(-1)).reshape(dim, dim)
-    except np.linalg.LinAlgError as err:
-        raise SolveFailureError(f"vectorized Lyapunov system is singular: {err}") from err
+    c = _solve_lyapunov(gamma.T, rhs)
     if not np.all(np.isfinite(c)):
-        raise SolveFailureError("vectorized Lyapunov solve returned nonfinite values")
-    c = 0.5 * (c + c.T)
+        raise SolveFailureError("Lyapunov solve returned nonfinite values")
     min_eig = float(np.linalg.eigvalsh(c).min())
     if min_eig <= 0:
         raise SolveFailureError("Lyapunov solution is not positive definite")
@@ -554,12 +549,16 @@ def _chat_matrix(n, m, A, B, g21, q_inv):
     ])
 
 
+# Drift forms of -1/2 L(x' C_hat x) over x = (q, p, s), row block = left
+# variable.  R_hat drops the A G21 G11 term of its (s, p) block: the
+# white-block branch searches at A = 0.
+
 def _rhat_matrix(n, m, A, B, E, g11, g12, g21, g22, q_inv):
     return np.block([
         [E * np.eye(n), np.zeros((n, n)), np.zeros((n, m))],
-        [-np.eye(n) + g11, -np.eye(n) + B * g11 + A * g21.T @ g21,
-         B * q_inv @ g21.T],
-        [g12.T, A * g21 @ g22 + B * g12.T, A * g21 @ g12 + B * q_inv @ g22.T],
+        [-np.eye(n) + g11.T, -np.eye(n) + B * g11 + A * g21.T @ g21,
+         B * g21.T @ q_inv],
+        [g12.T, A * g22.T @ g21 + B * g12.T, A * g21 @ g12 + B * q_inv @ g22],
     ])
 
 
@@ -567,7 +566,7 @@ def _rtilde_matrix(n, m, A, B, E, hbar, sign, g12, g21, g22, q_inv):
     return np.block([
         [E * np.eye(n), np.zeros((n, n)), sign * A * hbar * g21.T],
         [-np.eye(n), -np.eye(n) + A * g21.T @ g21, np.zeros((n, m))],
-        [g12.T, A * g21 @ g22, A * g21 @ g12 + B * q_inv @ g22.T],
+        [g12.T, A * g22.T @ g21, A * g21 @ g12 + B * q_inv @ g22],
     ])
 
 

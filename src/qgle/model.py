@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import (
     InconsistentError,
@@ -216,8 +217,10 @@ class ForceField:
                                    (q.shape[0],))
 
         def grad(q):
-            return np.stack([np.broadcast_to(g(q), (q.shape[0],))
-                             for g in grad_fns], axis=-1)
+            out = np.empty(q.shape)
+            for j, g in enumerate(grad_fns):
+                out[:, j] = g(q)
+            return out
 
         return cls("conservative", n, force=lambda q: -grad(q),
                    potential=potential, grad_potential=grad,
@@ -430,11 +433,28 @@ class FdtResult:
         return max(self.residual_white, self.residual_coupling, self.residual_aux)
 
 
+def _solve_lyapunov(a, rhs):
+    """Symmetric solution X of a X + X a' = rhs (Bartels-Stewart, O(m^3)).
+
+    The equation is singular exactly when two eigenvalues of ``a`` sum to
+    zero; scipy only warns and perturbs there, so that case is detected
+    first, relative to the scale of ``a``, and raises NoSolutionError.
+    """
+    m = a.shape[0]
+    eigs = np.linalg.eigvals(a)
+    gap = np.abs(eigs[:, None] + eigs[None, :]).min()
+    if gap <= 1e-12 * max(1.0, np.abs(a).max()) * m * m:
+        raise NoSolutionError(
+            f"Lyapunov equation is singular (eigenvalue pair sum {gap:.3e})")
+    x = solve_continuous_lyapunov(a, rhs)
+    return 0.5 * (x + x.T)
+
+
 def solve_fdt_Q(coeffs, rtol=1e-9):
     """Solve the block fluctuation-dissipation equations for Q.
 
-    The auxiliary block ``G22 Q + Q G22' = S2 S2'`` is solved as a dense
-    linear system over vec(Q) and symmetrized; the white block
+    The auxiliary block ``G22 Q + Q G22' = S2 S2'`` is solved by
+    Bartels-Stewart and symmetrized; the white block
     ``G11 + G11' = S1 S1'`` and coupling block ``G12 Q + G21' = S1 S2'`` are
     then verified.  Stability of -Gamma is not required here.
 
@@ -442,19 +462,14 @@ def solve_fdt_Q(coeffs, rtol=1e-9):
     """
     if not coeffs.constant:
         raise ValueError("solve_fdt_Q needs constant coefficients")
-    n, m = coeffs.n, coeffs.m
+    n = coeffs.n
     g = coeffs.gamma()
     s = coeffs.sigma()
     g11, g12, g21, g22 = coeffs.blocks(g)
     s1, s2 = coeffs.sigma_rows(s)
 
-    lhs = np.kron(np.eye(m), g22) + np.kron(g22, np.eye(m))
-    rhs = (s2 @ s2.T).reshape(-1)
     scale = max(1.0, np.abs(g).max(), np.abs(s @ s.T).max())
-    if np.linalg.matrix_rank(lhs, tol=1e-12 * max(1.0, np.abs(lhs).max()) * lhs.shape[0]) < lhs.shape[0]:
-        raise NoSolutionError("auxiliary-block Lyapunov system for Q is singular")
-    q = np.linalg.solve(lhs, rhs).reshape(m, m)
-    q = 0.5 * (q + q.T)
+    q = _solve_lyapunov(g22, s2 @ s2.T)
 
     res_white = np.abs(g11 + g11.T - s1 @ s1.T).max() if n else 0.0
     res_coupling = np.abs(g12 @ q + g21.T - s1 @ s2.T).max()

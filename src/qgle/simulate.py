@@ -151,37 +151,39 @@ def _philox(seed, traj_index, purpose=0):
 # Elementary steps (batched over replicas internally)
 # ---------------------------------------------------------------------------
 
-def _gamma_apply(mat, vec):
-    """mat (dim,dim) or (R,dim,dim) times vec (R,dim) -> (R,dim)."""
-    if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("rij,rj->ri", mat, vec)
+def _ou_step(a, diffusion, dt):
+    """Exact one-step map of the OU process dz = -a z dt + dW with
+    Cov(dW) = diffusion dt.
 
-
-def _euler_step_batch(model, q, p, s, dt, xi):
-    n = model.n
-    minv = model.mass_inv
-    mp = p @ minv.T
-    zhat = np.concatenate([mp, s], axis=1)
-    gmat = model.coeffs.gamma(q)
-    smat = model.coeffs.sigma(q)
-    drift = -_gamma_apply(gmat, zhat)
-    drift[:, :n] += model.force(q)
-    kick = np.sqrt(dt / model.beta) * _gamma_apply(smat, xi)
-    q_new = model.domain.reduce(q + mp * dt)
-    z_new = np.concatenate([p, s], axis=1) + drift * dt + kick
-    return q_new, z_new[:, :n], z_new[:, n:]
+    Returns the decay factor expm(-a dt), the update covariance
+    int_0^dt expm(-a u) diffusion expm(-a' u) du, computed through the
+    augmented-block matrix exponential (Van Loan), and its symmetric square
+    root (negative roundoff eigenvalues are clipped with a warning).
+    """
+    dim = a.shape[0]
+    big = np.zeros((2 * dim, 2 * dim))
+    big[:dim, :dim] = -a
+    big[:dim, dim:] = diffusion
+    big[dim:, dim:] = a.T
+    e = expm(big * dt)
+    decay = e[:dim, :dim]
+    cov = e[:dim, dim:] @ decay.T
+    cov = 0.5 * (cov + cov.T)
+    w, v = np.linalg.eigh(cov)
+    if w.min() < -1e-13 * max(1.0, w.max()):
+        warnings.warn("OU update covariance had negative eigenvalues "
+                      f"(min {w.min():.3e}); clipped at zero")
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    return decay, cov, factor
 
 
 class _SplittingCache:
     """Per-(model, dt) operators of the exact friction/noise map.
 
     The (p, s) half solves dz = -Gamma diag(M^-1, I) z dt + beta^-1/2
-    Sigma dW exactly: decay factor expm(-A dt) and update covariance
-    beta^-1 int_0^dt expm(-A u) Sigma Sigma' expm(-A' u) du, computed once
-    through the augmented-block matrix exponential and factored by a
-    symmetric square root (negative roundoff eigenvalues are clipped with a
-    warning).
+    Sigma dW exactly: decay factor expm(-A dt), update covariance
+    beta^-1 int_0^dt expm(-A u) Sigma Sigma' expm(-A' u) du and its
+    symmetric square root, computed once by ``_ou_step``.
     """
 
     def __init__(self, model, dt):
@@ -194,23 +196,8 @@ class _SplittingCache:
         d = np.zeros((dim, dim))
         d[:n, :n] = model.mass_inv
         d[n:, n:] = np.eye(m)
-        a = gamma @ d
-        s = sigma @ sigma.T / model.beta
-        big = np.zeros((2 * dim, 2 * dim))
-        big[:dim, :dim] = -a
-        big[:dim, dim:] = s
-        big[dim:, dim:] = a.T
-        e = expm(big * dt)
-        self.decay = e[:dim, :dim]  # expm(-A dt)
-        cov = e[:dim, dim:] @ self.decay.T
-        cov = 0.5 * (cov + cov.T)
-        self.cov = cov
-        w, v = np.linalg.eigh(cov)
-        if w.min() < -1e-13 * max(1.0, w.max()):
-            warnings.warn("OU update covariance had negative eigenvalues "
-                          f"(min {w.min():.3e}); clipped at zero")
-        w = np.clip(w, 0.0, None)
-        self.factor = v * np.sqrt(w)
+        self.decay, self.cov, self.factor = _ou_step(
+            gamma @ d, sigma @ sigma.T / model.beta, dt)
         self.dt = dt
 
 
@@ -218,45 +205,27 @@ def splitting_cache(model, dt):
     return _SplittingCache(model, dt)
 
 
-def _splitting_step_batch(model, cache, q, p, s, dt, xi):
-    n = model.n
-    minv = model.mass_inv
-    half = 0.5 * dt
-    p = p + half * model.force(q)
-    q = model.domain.reduce(q + half * (p @ minv.T))
-    z = np.concatenate([p, s], axis=1)
-    z = z @ cache.decay.T + xi @ cache.factor.T
-    p, s = z[:, :n], z[:, n:]
-    q = model.domain.reduce(q + half * (p @ minv.T))
-    p = p + half * model.force(q)
-    return q, p, s
+def _single_step(model, scheme, state, dt, xi):
+    """One step of ``_run_batch`` from an ExtendedState, driven by xi."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (model.n + model.m,):
+        raise ValueError(f"xi must have length n+m = {model.n + model.m}")
+    integ = IntegratorSpec(scheme, dt=dt, n_steps=1)
+    _, q, p, s, _ = _run_batch(model, integ, state.q[None], state.p[None],
+                               state.s[None], streams=None,
+                               collect_noise=False, replay=xi[None, None])
+    return ExtendedState(q=q[0, -1], p=p[0, -1], s=s[0, -1], t=state.t + dt)
 
 
 def step_euler(model, state, dt, xi):
     """One explicit Euler-Maruyama step from an ExtendedState."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (model.n + model.m,):
-        raise ValueError(f"xi must have length n+m = {model.n + model.m}")
-    q, p, s = _euler_step_batch(model, state.q[None], state.p[None],
-                                state.s[None], dt, xi[None])
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
-        raise IntegrationBlowupError(0)
-    return ExtendedState(q=q[0], p=p[0], s=s[0], t=state.t + dt)
+    return _single_step(model, "euler_maruyama", state, dt, xi)
 
 
-def step_splitting(model, state, dt, xi, cache=None):
+def step_splitting(model, state, dt, xi):
     """One Strang step: half force kick, half drift, exact OU map on (p, s),
     half drift, half force kick."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (model.n + model.m,):
-        raise ValueError(f"xi must have length n+m = {model.n + model.m}")
-    if cache is None or cache.dt != dt:
-        cache = _SplittingCache(model, dt)
-    q, p, s = _splitting_step_batch(model, cache, state.q[None], state.p[None],
-                                    state.s[None], dt, xi[None])
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
-        raise IntegrationBlowupError(0)
-    return ExtendedState(q=q[0], p=p[0], s=s[0], t=state.t + dt)
+    return _single_step(model, "semi_exact_splitting", state, dt, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +277,15 @@ def sample_gibbs(model, rng, size=1, q0=None):
 # ---------------------------------------------------------------------------
 
 class ObservableAccumulator:
-    """Streaming mean/variance of a scalar observable (Welford)."""
+    """Sample mean and variance (ddof 1) of a scalar observable over the
+    stored states."""
 
-    def __init__(self, name):
+    def __init__(self, name, values):
+        values = np.ravel(values)
         self.name = name
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, values):
-        for x in np.atleast_1d(values):
-            self.count += 1
-            delta = x - self.mean
-            self.mean += delta / self.count
-            self._m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self):
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
+        self.count = values.size
+        self.mean = float(values.mean())
+        self.variance = float(values.var(ddof=1)) if self.count > 1 else 0.0
 
 
 def _resolve_initial(model, initial, rng):
@@ -439,8 +399,8 @@ def simulate(model, integ, initial, observables=None, traj_index=0):
     """Run one trajectory; deterministic given (seed, scheme, dt).
 
     ``observables`` maps names to callables phi(q, p, s) on batched arrays;
-    their streaming accumulators are updated at every stored (strided) state
-    and attached to the trajectory meta.
+    their mean and variance over the stored (strided) states are attached
+    to the trajectory meta.
     """
     rng_init = _philox(integ.seed, traj_index, purpose=1)
     q0, p0, s0 = _resolve_initial(model, initial, rng_init)
@@ -456,10 +416,9 @@ def simulate(model, integ, initial, observables=None, traj_index=0):
               "n_steps": integ.n_steps, "seed": integ.seed,
               "stride": integ.stride, "traj_index": traj_index})
     if observables:
-        accs = {name: ObservableAccumulator(name) for name in observables}
-        for name, fn in observables.items():
-            accs[name].update(fn(traj.q, traj.p, traj.s))
-        traj.meta["observables"] = accs
+        traj.meta["observables"] = {
+            name: ObservableAccumulator(name, fn(traj.q, traj.p, traj.s))
+            for name, fn in observables.items()}
     return traj
 
 
@@ -503,12 +462,11 @@ def simulate_ensemble(model, integ, initial, n_replicas, observables=None):
               "dt": integ.dt, "n_steps": integ.n_steps, "seed": integ.seed,
               "stride": integ.stride, "n_replicas": n_replicas})
     if observables:
-        accs = {name: ObservableAccumulator(name) for name in observables}
-        for name, fn in observables.items():
-            accs[name].update(fn(qs.reshape(-1, qs.shape[-1]),
-                                 ps.reshape(-1, ps.shape[-1]),
-                                 ss.reshape(-1, ss.shape[-1])).ravel())
-        result.meta["observables"] = accs
+        result.meta["observables"] = {
+            name: ObservableAccumulator(name, fn(qs.reshape(-1, qs.shape[-1]),
+                                                 ps.reshape(-1, ps.shape[-1]),
+                                                 ss.reshape(-1, ss.shape[-1])))
+            for name, fn in observables.items()}
     return result
 
 
@@ -575,8 +533,7 @@ def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
     """Colored-noise process driven by a trajectory's stored increments.
 
     Integrates d eta = -G22 eta dt + beta^-1/2 S2 dW from eta0 (= s(0))
-    using either the exact one-step OU map (decay expm(-G22 dt), update
-    covariance via the augmented-block matrix exponential) or the same Euler
+    using either the exact one-step OU map (``_ou_step``) or the same Euler
     map as the simulation.  Returns the (n_steps + 1, m) path.
     """
     if not coeffs.constant:
@@ -596,16 +553,7 @@ def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
         return out
     if method != "exact":
         raise ValueError("method must be 'exact' or 'euler'")
-    decay = expm(-g22 * dt)
-    diffusion = s2 @ s2.T / beta
-    big = np.zeros((2 * m, 2 * m))
-    big[:m, :m] = -g22
-    big[:m, m:] = diffusion
-    big[m:, m:] = g22.T
-    e = expm(big * dt)
-    cov = e[:m, m:] @ decay.T
-    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    decay, _, factor = _ou_step(g22, s2 @ s2.T / beta, dt)
     # the exact update covariance mixes the whole Wiener path inside a step,
     # so it cannot be a function of the per-step increment alone; drive the
     # map with the auxiliary-block components, which are iid standard normals

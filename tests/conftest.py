@@ -45,3 +45,18 @@ def random_stable_gamma(rng, dim):
         eigs = np.linalg.eigvals(g)
         if eigs.real.min() > 0.05:
             return g
+
+
+def random_rotation(rng, m):
+    """Haar-distributed orthogonal m x m matrix."""
+    z, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return z * np.sign(np.diag(r))
+
+
+def rotate_auxiliary(coeffs, u):
+    """Gamma -> T Gamma T', Sigma -> T Sigma with T = diag(I_n, U); the
+    rotated Prony embedding keeps Q = I."""
+    t = np.eye(coeffs.n + coeffs.m)
+    t[coeffs.n:, coeffs.n:] = u
+    return CoefficientField(coeffs.n, coeffs.m, gamma=t @ coeffs.gamma() @ t.T,
+                            sigma=t @ coeffs.sigma())

@@ -111,6 +111,19 @@ class TestParseConfig:
         assert config.model.coeffs.m == 2
         assert config.model.Q is None
 
+    def test_constant_kind_without_fdt_solution_parses_without_q(self):
+        # G22 = [[0, 1], [-1, 0]] leaves the auxiliary Lyapunov equation
+        # singular; the model is kept as a non-equilibrium one
+        raw = json.loads(golden_text())
+        raw["model"]["force"] = {"kind": "zero"}
+        raw["coefficients"] = {
+            "kind": "constant", "m": 2,
+            "gamma": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+            "sigma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+        config = parse_config(json.dumps(raw))
+        assert config.model.coeffs.m == 2
+        assert config.model.Q is None
+
     def test_fuzzed_mutations_always_diagnose(self):
         # character-level mutations of the golden file must never escape as
         # uncontrolled exceptions

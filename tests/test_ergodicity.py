@@ -16,7 +16,14 @@ from qgle.ergodicity import (
 from qgle.kernels import coeffs_from_prony
 from qgle.model import CoefficientField, Domain, ForceField, ModelSpec, default_grid
 
-from conftest import EXAMPLE_C, random_prony_modes, random_stable_gamma, prony_model
+from conftest import (
+    EXAMPLE_C,
+    prony_model,
+    random_prony_modes,
+    random_rotation,
+    random_stable_gamma,
+    rotate_auxiliary,
+)
 
 
 class TestSchurPsd:
@@ -226,6 +233,58 @@ class TestUnboundedCertificate:
             mat = _rtilde_matrix(1, 1, a_w, b_w, 1.0, 1.0, sign, g12, g21,
                                  g22, np.eye(1))
             assert np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() > 0
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2)])
+    def test_pure_colored_branch_is_rotation_invariant(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        modes = list(zip(rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 4.0, k)))
+        coeffs, q_mat = coeffs_from_prony(modes, n=n)
+        cert = unbounded_certificate(coeffs, q_mat, growth_E=1.0, hbar=1.0)
+        assert cert.satisfied and cert.margin > 0
+        rotated = rotate_auxiliary(coeffs, random_rotation(rng, coeffs.m))
+        turned = unbounded_certificate(rotated, q_mat, growth_E=1.0, hbar=1.0)
+        assert turned.satisfied
+        for key in ("A", "B"):
+            assert turned.witness[key] == pytest.approx(cert.witness[key],
+                                                        abs=1e-10)
+        assert turned.margin == pytest.approx(cert.margin, abs=1e-10)
+
+    def test_white_block_branch_with_two_modes(self):
+        coeffs, q_mat = coeffs_from_prony([(1.0, 1.0), (0.5, 3.0)])
+        gamma, sigma = coeffs.gamma().copy(), coeffs.sigma().copy()
+        gamma[0, 0], sigma[0, 0] = 0.5, 1.0  # white friction with S1 S1' = 2 G11
+        white = CoefficientField(1, 2, gamma=gamma, sigma=sigma)
+        cert = unbounded_certificate(white, q_mat, growth_E=1.0)
+        assert cert.satisfied and cert.margin > 0
+        assert cert.witness["A"] == 0.0
+
+    def test_drift_forms_are_the_generator_of_the_base_form(self):
+        # with E = hbar = 0 and no force, x' R x = -x' C_hat f(x), the
+        # quadratic part of -1/2 L(x' C_hat x); n = 2, m = 3
+        from qgle.ergodicity import _chat_matrix, _rhat_matrix, _rtilde_matrix
+        rng = np.random.default_rng(4)
+        n, m = 2, 3
+        g11, g12, g21, g22 = (rng.standard_normal(shape) for shape in
+                              ((n, n), (n, m), (m, n), (m, m)))
+        w = rng.standard_normal((m, m))
+        q_inv = w @ w.T + np.eye(m)
+
+        def generator_form(x, A, B, g11, g12, q_inv):
+            p, s = x[n:2 * n], x[2 * n:]
+            f = np.concatenate([p, -g11 @ p - g12 @ s, -g21 @ p - g22 @ s])
+            return -x @ _chat_matrix(n, m, A, B, g21, q_inv) @ f
+
+        # R_hat at A = 0, the white-block branch's only A
+        rhat = _rhat_matrix(n, m, 0.0, 1.7, 0.0, g11, g12, g21, g22, q_inv)
+        # R_tilde for G11 = 0 and the pure-colored constraint G12 Q = -G21'
+        rtilde = _rtilde_matrix(n, m, 0.6, 1.7, 0.0, 0.0, 1.0, -g21.T, g21,
+                                g22, np.eye(m))
+        for x in rng.standard_normal((5, 2 * n + m)):
+            assert x @ rhat @ x == pytest.approx(
+                generator_form(x, 0.0, 1.7, g11, g12, q_inv), rel=1e-10)
+            assert x @ rtilde @ x == pytest.approx(
+                generator_form(x, 0.6, 1.7, np.zeros((n, n)), -g21.T,
+                               np.eye(m)), rel=1e-10)
 
     def test_singular_coupling_exhausts(self):
         coeffs = CoefficientField(1, 2, gamma=np.array([

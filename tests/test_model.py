@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgle.errors import InconsistentError, NonConservativeError
+from qgle.errors import InconsistentError, NonConservativeError, NoSolutionError
 from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     NOT_APPLICABLE,
@@ -24,6 +24,8 @@ from conftest import (
     EXAMPLE_GAMMA_ENTRIES,
     EXAMPLE_SIGMA_ENTRIES,
     random_prony_modes,
+    random_rotation,
+    rotate_auxiliary,
 )
 
 
@@ -54,6 +56,25 @@ class TestSolveFdtQ:
                                 [[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InconsistentError):
             solve_fdt_Q(coeffs)
+
+    @pytest.mark.parametrize("g22", [np.diag([1.0, -1.0]),
+                                     np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    def test_eigenvalue_pair_summing_to_zero_has_no_solution(self, g22):
+        # the auxiliary Lyapunov operator is singular: lambda_i + lambda_j = 0
+        gamma = np.zeros((3, 3))
+        gamma[1:, 1:] = g22
+        coeffs = constant_field(gamma, np.eye(3))
+        with pytest.raises(NoSolutionError):
+            solve_fdt_Q(coeffs)
+
+    def test_rotated_dense_prony_embedding_gives_unit_q(self):
+        # 24 modes, dense after a random rotation of the auxiliary block
+        rng = np.random.default_rng(24)
+        modes = list(zip(rng.uniform(0.2, 2.0, 24), rng.uniform(0.3, 10.0, 24)))
+        coeffs, _ = coeffs_from_prony(modes)
+        rotated = rotate_auxiliary(coeffs, random_rotation(rng, 24))
+        result = solve_fdt_Q(rotated)
+        assert np.abs(result.Q - np.eye(24)).max() <= 1e-9
 
 
 class TestVerifyFdt:
