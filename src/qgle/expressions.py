@@ -247,33 +247,71 @@ def compile_expr(expr):
     return raw
 
 
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _add(left, right):
+    """left + right, dropping a literal zero term (x + 0 is x exactly)."""
+    if left == _ZERO:
+        return right
+    if right == _ZERO:
+        return left
+    return BinOp("+", left, right)
+
+
+def _sub(left, right):
+    """left - right, dropping a literal zero subtrahend; 0 - x is kept
+    because it is how negation is written."""
+    if right == _ZERO:
+        return left
+    return BinOp("-", left, right)
+
+
+def _mul(left, right):
+    """left * right, folding a literal zero factor to zero and dropping a
+    literal unit factor (exact for finite operands)."""
+    if left == _ZERO or right == _ZERO:
+        return _ZERO
+    if left == _ONE:
+        return right
+    if right == _ONE:
+        return left
+    return BinOp("*", left, right)
+
+
 def diff_expr(expr, index):
     """Symbolic partial derivative with respect to ``q_{index+1}``.
 
     Stays inside the closed family (chain/product/quotient rules on
     sin, cos, exp), so derivatives can be screened and evaluated the same way.
+    Terms that a literal zero derivative makes dead are not emitted; where
+    the expression is finite this leaves every value unchanged, up to the
+    sign of an exact zero.
     """
     if isinstance(expr, Num):
-        return Num(0.0)
+        return _ZERO
     if isinstance(expr, Var):
-        return Num(1.0 if expr.index == index else 0.0)
+        return _ONE if expr.index == index else _ZERO
     if isinstance(expr, Call):
         inner = diff_expr(expr.arg, index)
         if expr.func == "sin":
             outer = Call("cos", expr.arg)
         elif expr.func == "cos":
-            outer = BinOp("-", Num(0.0), Call("sin", expr.arg))
+            outer = BinOp("-", _ZERO, Call("sin", expr.arg))
         else:
             outer = Call("exp", expr.arg)
-        return BinOp("*", outer, inner)
+        return _mul(outer, inner)
     dl = diff_expr(expr.left, index)
     dr = diff_expr(expr.right, index)
-    if expr.op in "+-":
-        return BinOp(expr.op, dl, dr)
+    if expr.op == "+":
+        return _add(dl, dr)
+    if expr.op == "-":
+        return _sub(dl, dr)
     if expr.op == "*":
-        return BinOp("+", BinOp("*", dl, expr.right), BinOp("*", expr.left, dr))
+        return _add(_mul(dl, expr.right), _mul(expr.left, dr))
     # quotient rule: (l'r - l r') / r^2
-    numerator = BinOp("-", BinOp("*", dl, expr.right), BinOp("*", expr.left, dr))
+    numerator = _sub(_mul(dl, expr.right), _mul(expr.left, dr))
     return BinOp("/", numerator, BinOp("*", expr.right, expr.right))
 
 

@@ -6,6 +6,14 @@ Strang splitting whose friction/noise half is the exact Ornstein-Uhlenbeck
 map for constant coefficients (so with no force the (p, s) chain is exact
 in law).
 
+Stepping works in place on preallocated buffers with one step body per
+scheme.  The splitting step carries the force of its closing half-kick into
+the opening half-kick of the next step, so it makes one force call per
+step.  Finiteness is checked once per chunk of 4096 steps; a chunk that
+ends non-finite (or raised a floating-point error the caller does not
+ignore) is restored from its start and replayed step by step, so a blowup
+reports the same step index and warnings as a per-step check.
+
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (seed, trajectory index), so ensembles are reproducible and independent of
 scheduling.  Stored Wiener increments regenerate a trajectory bit-exactly
@@ -37,7 +45,6 @@ __all__ = [
     "simulate_ensemble",
     "step_euler",
     "step_splitting",
-    "splitting_cache",
     "sample_gibbs",
     "ide_residual_check",
     "colored_noise_path",
@@ -201,10 +208,6 @@ class _SplittingCache:
         self.dt = dt
 
 
-def splitting_cache(model, dt):
-    return _SplittingCache(model, dt)
-
-
 def _single_step(model, scheme, state, dt, xi):
     """One step of ``_run_batch`` from an ExtendedState, driven by xi."""
     xi = np.asarray(xi, dtype=float)
@@ -301,10 +304,22 @@ def _resolve_initial(model, initial, rng):
 def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     """Advance R replicas n_steps; returns strided arrays (+ full noise).
 
-    The loop carries the concatenated (p, s) block and pre-transforms each
-    chunk's noise in bulk; for constant coefficients the drift is a single
-    matrix product per step.  ``replay`` injects stored increments instead
-    of drawing from the streams (bit-exact regeneration).
+    The state lives in preallocated (R, n) and (R, n+m) buffers that one
+    step body per scheme, chosen before the loop, updates in place in the
+    floating-point order of the plain expressions.  Each chunk's noise is
+    drawn and pre-transformed in bulk.  The splitting body carries
+    half * F(q) from the closing half-kick of one step into the opening
+    half-kick of the next, so each step makes one force call.
+
+    Finiteness of z is checked once per chunk of 4096 steps, with numpy's
+    floating-point errors recorded instead of reported (categories the
+    caller ignores stay ignored).  A chunk that ends non-finite, recorded
+    an error or raised is restored from its start and replayed one checked
+    step at a time under the caller's errstate, so the caller sees the
+    warnings, exceptions and ``IntegrationBlowupError`` step index of a
+    per-step check.
+    ``replay`` injects stored increments instead of drawing from the
+    streams (bit-exact regeneration).
     """
     n, m = model.n, model.m
     dim = n + m
@@ -312,9 +327,8 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     dt, stride, n_steps = integ.dt, integ.stride, integ.n_steps
     torus = model.domain.is_torus
     splitting = integ.scheme == "semi_exact_splitting"
-    constant = model.coeffs.constant
     minv = model.mass_inv
-    identity_mass = np.array_equal(minv, np.eye(n))
+    minv_t = None if np.array_equal(minv, np.eye(n)) else minv.T
     force_fn = model.force._force
     coeffs = model.coeffs
     sqrt_kick = np.sqrt(dt / model.beta)
@@ -328,11 +342,94 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     qs[:, 0], zs[:, 0] = q, z
     noise = np.empty((R, n_steps, dim)) if collect_noise else None
 
-    cache = _SplittingCache(model, dt) if splitting else None
-    if constant and not splitting:
-        gamma_t = np.ascontiguousarray(coeffs.gamma().T)
-        sigma_t = np.ascontiguousarray(coeffs.sigma().T)
+    zp = z[:, :n]              # momentum block of the state buffer
+    dq = np.empty((R, n))      # position increment
+    state = [q, z]             # buffers a replayed chunk restores
+    xi = kicks = None          # the current chunk's noise
 
+    if splitting:
+        cache = _SplittingCache(model, dt)
+        decay_t = cache.decay.T
+        zb = np.empty((R, dim))
+        hf = np.empty((R, n))  # half * F(q), carried between steps
+        state.append(hf)
+        if n_steps:
+            np.multiply(force_fn(q), half, out=hf)
+
+        def half_drift():
+            """q <- q + (dt/2) M^-1 p, reduced to the torus."""
+            if minv_t is None:
+                np.multiply(zp, half, out=dq)
+            else:
+                np.matmul(zp, minv_t, out=dq)
+                np.multiply(dq, half, out=dq)
+            np.add(q, dq, out=q)
+            if torus:
+                np.mod(q, 1.0, out=q)
+
+        def body(k):
+            np.add(zp, hf, out=zp)
+            half_drift()
+            np.matmul(z, decay_t, out=zb)
+            np.add(zb, kicks[:, k], out=z)
+            half_drift()
+            np.multiply(force_fn(q), half, out=hf)
+            np.add(zp, hf, out=zp)
+    else:
+        zh = z if minv_t is None else np.empty((R, dim))  # (M^-1 p, s)
+        vel = zh[:, :n]
+        drift = np.empty((R, dim))
+        fdt = np.empty((R, n))
+
+        def euler_update(kick):
+            """Position drift and (p, s) update from the pre-step state."""
+            np.multiply(force_fn(q), dt, out=fdt)
+            np.multiply(vel, dt, out=dq)
+            np.add(q, dq, out=q)
+            if torus:
+                np.mod(q, 1.0, out=q)
+            np.multiply(drift, dt, out=drift)
+            np.subtract(z, drift, out=z)
+            np.add(z, kick, out=z)
+            np.add(zp, fdt, out=zp)
+
+        def velocity():
+            if minv_t is not None:
+                np.matmul(zp, minv_t, out=dq)
+                vel[...] = dq
+                zh[:, n:] = z[:, n:]
+
+        if coeffs.constant:
+            gamma_t = np.ascontiguousarray(coeffs.gamma().T)
+            sigma_t = np.ascontiguousarray(coeffs.sigma().T)
+
+            def body(k):
+                velocity()
+                np.matmul(zh, gamma_t, out=drift)
+                euler_update(kicks[:, k])
+        else:
+            kick = np.empty((R, dim))
+
+            def body(k):
+                velocity()
+                np.einsum("rij,rj->ri", coeffs.gamma(q), zh, out=drift)
+                np.einsum("rij,rj->ri", coeffs.sigma(q), xi[:, k], out=kick)
+                np.multiply(kick, sqrt_kick, out=kick)
+                euler_update(kick)
+
+    def advance(step, take, out, checked):
+        for k in range(take):
+            body(k)
+            if checked and not np.isfinite(z).all():
+                raise IntegrationBlowupError(step + k + 1)
+            if (step + k + 1) % stride == 0:
+                qs[:, out], zs[:, out] = q, z
+                out += 1
+        return out
+
+    faults = []
+    watch = {key: "ignore" if mode == "ignore" else "call"
+             for key, mode in np.geterr().items() if key != "under"}
     chunk = max(1, min(n_steps, 4096))
     step = 0
     out = 1
@@ -346,50 +443,24 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
             noise[:, step:step + take] = xi
         if splitting:
             kicks = xi @ cache.factor.T
-        elif constant:
+        elif coeffs.constant:
             kicks = sqrt_kick * (xi @ sigma_t)
-        for k in range(take):
-            if splitting:
-                z[:, :n] += half * force_fn(q)
-                if identity_mass:
-                    q = q + half * z[:, :n]
-                else:
-                    q = q + half * (z[:, :n] @ minv.T)
-                if torus:
-                    np.mod(q, 1.0, out=q)
-                z = z @ cache.decay.T + kicks[:, k]
-                if identity_mass:
-                    q = q + half * z[:, :n]
-                else:
-                    q = q + half * (z[:, :n] @ minv.T)
-                if torus:
-                    np.mod(q, 1.0, out=q)
-                z[:, :n] += half * force_fn(q)
-            else:
-                if identity_mass:
-                    zhat = z
-                else:
-                    zhat = z.copy()
-                    zhat[:, :n] = z[:, :n] @ minv.T
-                if constant:
-                    drift = zhat @ gamma_t
-                    kick = kicks[:, k]
-                else:
-                    drift = np.einsum("rij,rj->ri", coeffs.gamma(q), zhat)
-                    kick = sqrt_kick * np.einsum("rij,rj->ri",
-                                                 coeffs.sigma(q), xi[:, k])
-                f = force_fn(q)
-                q = q + dt * zhat[:, :n]
-                if torus:
-                    np.mod(q, 1.0, out=q)
-                z = z - dt * drift + kick
-                z[:, :n] += dt * f
-            step += 1
-            if not np.isfinite(z).all():
-                raise IntegrationBlowupError(step)
-            if step % stride == 0:
-                qs[:, out], zs[:, out] = q, z
-                out += 1
+        saved = [a.copy() for a in state]
+        faults.clear()
+        try:
+            with np.errstate(**watch,
+                             call=lambda kind, flag: faults.append(kind)):
+                end = advance(step, take, out, checked=False)
+        except Exception:
+            # raised by a step after a blowup, perhaps; the checked replay
+            # raises whichever error a per-step check meets first
+            faults.append("exception")
+        if faults or not np.isfinite(z).all():
+            for a, b in zip(state, saved):
+                a[...] = b
+            end = advance(step, take, out, checked=True)
+        out = end
+        step += take
     times = np.arange(out) * (dt * stride)
     return times, qs[:, :out], zs[:, :out, :n], zs[:, :out, n:], \
         (noise if collect_noise else None)

@@ -161,6 +161,17 @@ def gibbs_quadrature_mean(observable, potential, beta, n_points=20001):
     return float((phi * weights).sum() / weights.sum())
 
 
+def _symmetric_z(x, target):
+    """z-scores of E[x_i x_j] = target[i, j], filled for i <= j and mirrored
+    (x_i x_j equals x_j x_i exactly)."""
+    k = x.shape[1]
+    z = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            z[i, j] = z[j, i] = _corrected_z(x[:, i] * x[:, j], target[i, j])
+    return z
+
+
 def gibbs_moment_test(traj, model, observable=None, burn_in=0.1):
     """z-scores for E[pp'] = beta^-1 M, E[ss'] = beta^-1 Q, E[ps'] = 0 and,
     on 1-d torus domains, E[phi(q)] against the quadrature of the Gibbs
@@ -182,14 +193,8 @@ def gibbs_moment_test(traj, model, observable=None, burn_in=0.1):
     target_pp = model.mass / model.beta
     target_ss = model.Q / model.beta
 
-    z_pp = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            z_pp[i, j] = _corrected_z(p[:, i] * p[:, j], target_pp[i, j])
-    z_ss = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            z_ss[i, j] = _corrected_z(s[:, i] * s[:, j], target_ss[i, j])
+    z_pp = _symmetric_z(p, target_pp)
+    z_ss = _symmetric_z(s, target_ss)
     z_ps = np.empty((n, m))
     for i in range(n):
         for j in range(m):

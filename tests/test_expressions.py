@@ -88,6 +88,74 @@ def test_symbolic_derivative_matches_finite_difference():
         assert eval_expr(dtree, np.array([x])) == pytest.approx(fd, rel=1e-8)
 
 
+def _unpruned_diff(expr, index):
+    """The plain chain/product/quotient rules, emitting every term."""
+    if isinstance(expr, Num):
+        return Num(0.0)
+    if isinstance(expr, Var):
+        return Num(1.0 if expr.index == index else 0.0)
+    if isinstance(expr, Call):
+        inner = _unpruned_diff(expr.arg, index)
+        if expr.func == "sin":
+            outer = Call("cos", expr.arg)
+        elif expr.func == "cos":
+            outer = BinOp("-", Num(0.0), Call("sin", expr.arg))
+        else:
+            outer = Call("exp", expr.arg)
+        return BinOp("*", outer, inner)
+    dl = _unpruned_diff(expr.left, index)
+    dr = _unpruned_diff(expr.right, index)
+    if expr.op in "+-":
+        return BinOp(expr.op, dl, dr)
+    if expr.op == "*":
+        return BinOp("+", BinOp("*", dl, expr.right), BinOp("*", expr.left, dr))
+    numerator = BinOp("-", BinOp("*", dl, expr.right), BinOp("*", expr.left, dr))
+    return BinOp("/", numerator, BinOp("*", expr.right, expr.right))
+
+
+def _count_ops(expr):
+    if isinstance(expr, (Num, Var)):
+        return 0
+    if isinstance(expr, Call):
+        return 1 + _count_ops(expr.arg)
+    return 1 + _count_ops(expr.left) + _count_ops(expr.right)
+
+
+# the potentials of tests/, bench/ and configs/ give the same bits; the
+# two-component ones reach the quotient rule and a component the entry does
+# not use, where a dropped 0 * x term can flip the sign of an exact zero
+# (-0.0 + 0.0 is +0.0), so they are compared as values
+@pytest.mark.parametrize("text, n, same_bits", [
+    ("cos(2*pi*q1)", 1, True),
+    ("0.2*cos(2*pi*q1)", 1, True),
+    ("0.5*cos(2*pi*q1)", 1, True),
+    ("q1*q1/2", 1, True),
+    ("cos(2*pi*q1)*sin(2*pi*q2)+0.3*cos(2*pi*q2)", 2, False),
+    ("exp(sin(2*pi*q1))/(2+cos(2*pi*q1)) - q1*q1/3", 2, False),
+])
+def test_pruned_gradient_equals_unpruned(text, n, same_bits):
+    tree = parse_expr(text)
+    axis = np.linspace(-1.5, 1.5, 61)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n,
+                                                    indexing="ij")], axis=-1)
+    for j in range(n):
+        pruned, unpruned = diff_expr(tree, j), _unpruned_diff(tree, j)
+        assert _count_ops(pruned) < _count_ops(unpruned)
+        want = np.broadcast_to(compile_expr(unpruned)(grid), grid.shape[:1])
+        got = np.broadcast_to(compile_expr(pruned)(grid), grid.shape[:1])
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(got, want)
+        if same_bits:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_cos_gradient_drops_dead_terms():
+    # d/dq cos(2 pi q) = (0 - sin(2 pi q)) * (2 pi): no 0*q, no + 0, no * 1
+    assert diff_expr(parse_expr("cos(2*pi*q1)"), 0) == BinOp(
+        "*", BinOp("-", Num(0.0), Call("sin", parse_expr("2*pi*q1"))),
+        BinOp("*", Num(2.0), Num(math.pi)))
+
+
 def test_compile_matches_tree_walker():
     tree = parse_expr("2+cos(2*pi*q1)*sin(4*pi*q2)")
     fn = compile_expr(tree)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -15,6 +17,8 @@ from qgle.model import (
 from qgle.simulate import (
     GibbsInit,
     IntegratorSpec,
+    Trajectory,
+    _SplittingCache,
     colored_noise_path,
     fordkac_ensemble,
     fordkac_simulate,
@@ -26,7 +30,6 @@ from qgle.simulate import (
     sample_gibbs,
     simulate,
     simulate_ensemble,
-    splitting_cache,
     step_euler,
     step_splitting,
     trajectory_to_csv,
@@ -36,6 +39,21 @@ from qgle.simulate import (
 from qgle.stats import integrated_autocorrelation_time
 
 from conftest import EXAMPLE_GAMMA_ENTRIES, EXAMPLE_SIGMA_ENTRIES, prony_model
+
+
+def oscillator():
+    """Frictionless, noiseless harmonic oscillator."""
+    return ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1), beta=1.0,
+                     force=ForceField.harmonic([[1.0]]),
+                     coeffs=CoefficientField(1, 1, gamma=np.zeros((2, 2)),
+                                             sigma=np.zeros((2, 2))),
+                     Q=np.eye(1))
+
+
+OSCILLATOR_START = ExtendedState(q=[1.0], p=[0.0], s=[0.0])
+BLOWUPS = [("semi_exact_splitting", 2.006, 4588),
+           ("euler_maruyama", 0.5, 6363),
+           ("euler_maruyama", 10.0, 308)]
 
 
 def free_model(n=1, m=1):
@@ -136,7 +154,7 @@ class TestStepSplitting:
     def test_exact_ou_mean_and_covariance(self):
         model = prony_model(potential=None)
         dt = 0.37
-        cache = splitting_cache(model, dt)
+        cache = _SplittingCache(model, dt)
         gamma = model.coeffs.gamma()
         sigma = model.coeffs.sigma()
         assert np.allclose(cache.decay, expm(-gamma * dt), atol=1e-13)
@@ -182,6 +200,61 @@ class TestStepSplitting:
             tau = integrated_autocorrelation_time(series)
             se = np.sqrt(series.var() * 2 * tau / n)
             assert abs(series.mean() - target) <= 3 * se
+
+
+def _two_dim_mass_model():
+    gamma = np.array([[0.3, 0.1, -1.0, 0.0], [0.0, 0.2, 0.0, -0.7],
+                      [1.0, 0.0, 2.0, 0.1], [0.0, 0.7, 0.0, 1.5]])
+    force = ForceField.from_potential_expr(
+        "cos(2*pi*q1)*sin(2*pi*q2)+0.3*cos(2*pi*q2)", 2)
+    return ModelSpec(domain=Domain("torus", 2),
+                     mass=np.array([[2.0, 0.3], [0.3, 1.5]]), beta=0.7,
+                     force=force,
+                     coeffs=CoefficientField(2, 2, gamma=gamma,
+                                             sigma=np.diag([0.4, 0.3, 1.2, 1.0])))
+
+
+def _posdep_model():
+    coeffs = CoefficientField(1, 1, gamma_entries=EXAMPLE_GAMMA_ENTRIES,
+                              sigma_entries=EXAMPLE_SIGMA_ENTRIES)
+    return ModelSpec(domain=Domain("torus", 1), mass=np.array([[1.3]]),
+                     beta=1.0,
+                     force=ForceField.from_potential_expr("cos(2*pi*q1)", 1),
+                     coeffs=coeffs, Q=np.eye(1))
+
+
+@pytest.mark.parametrize("make_model, scheme, step", [
+    (prony_model, "semi_exact_splitting", step_splitting),
+    (_two_dim_mass_model, "semi_exact_splitting", step_splitting),
+    (_posdep_model, "euler_maruyama", step_euler),
+], ids=["torus_identity_mass", "mass_matrix", "euler_position_dependent"])
+def test_single_steps_compose_to_the_run(make_model, scheme, step):
+    # each single step is a fresh one-step run, so a force or state carried
+    # into the next step of a long run with the wrong value shows here; 9000
+    # steps cross a chunk boundary.  A run transforms a whole chunk of
+    # increments by one many-row matrix product, which rounds differently
+    # from the one-row product of a single step, so every stored increment
+    # has one nonzero component: then each kick is a single exact product
+    model = make_model()
+    dim, n_steps = model.n + model.m, 9000
+    noise = np.zeros((n_steps, dim))
+    noise[np.arange(n_steps), np.arange(n_steps) % dim] = \
+        np.random.default_rng(21).standard_normal(n_steps)
+    start = Trajectory(
+        times=np.zeros(1), q=np.full((1, model.n), 0.3),
+        p=np.full((1, model.n), 0.5), s=np.full((1, model.m), -0.2),
+        noise=noise, meta={"scheme": scheme, "dt": 0.01, "n_steps": n_steps,
+                           "stride": 3})
+    traj = replay_trajectory(model, start)
+    assert len(traj) == n_steps // 3 + 1
+    state = traj.state(0)
+    for k, xi in enumerate(noise, start=1):
+        state = step(model, state, 0.01, xi)
+        if k % 3 == 0:
+            i = k // 3
+            assert np.array_equal(state.q, traj.q[i]), k
+            assert np.array_equal(state.p, traj.p[i]), k
+            assert np.array_equal(state.s, traj.s[i]), k
 
 
 class TestSimulate:
@@ -234,16 +307,75 @@ class TestSimulate:
         assert abs(acc.mean - 0.5) <= 3 * se
 
     def test_blowup_reports_step_index(self):
-        model = ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1),
-                          beta=1.0, force=ForceField.harmonic([[1.0]]),
-                          coeffs=CoefficientField(1, 1, gamma=np.zeros((2, 2)),
-                                                  sigma=np.zeros((2, 2))),
-                          Q=np.eye(1))
-        integ = IntegratorSpec("euler_maruyama", dt=10.0, n_steps=10_000, seed=0)
+        # the frictionless, noiseless oscillator from q = 1, p = 0 diverges
+        # at these exact steps; 4588 lies in the second 4096-step chunk
+        for scheme, dt, index in BLOWUPS:
+            integ = IntegratorSpec(scheme, dt=dt, n_steps=10_000, seed=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationBlowupError) as err:
+                    simulate(oscillator(), integ, OSCILLATOR_START)
+            assert err.value.step_index == index
+
+    @pytest.mark.parametrize("scheme, dt, index", BLOWUPS)
+    def test_blowup_warns_like_a_per_step_check(self, scheme, dt, index):
+        integ = IntegratorSpec(scheme, dt=dt, n_steps=10_000, seed=0)
+        with pytest.warns(RuntimeWarning, match="encountered"):
+            with pytest.raises(IntegrationBlowupError) as err:
+                simulate(oscillator(), integ, OSCILLATOR_START)
+        assert err.value.step_index == index
+        # a caller that raises on overflow stops at the overflowing step
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                simulate(oscillator(), integ, OSCILLATOR_START)
+
+    def test_blowup_is_reported_before_a_later_step_raises(self):
+        def strict_force(q):
+            if not np.isfinite(q).all():
+                raise ValueError("non-finite position")
+            return -q
+
+        base = oscillator()
+        model = ModelSpec(domain=base.domain, mass=base.mass, beta=base.beta,
+                          force=ForceField.nonconservative(1, strict_force),
+                          coeffs=base.coeffs, Q=base.Q)
+        integ = IntegratorSpec("euler_maruyama", dt=10.0, n_steps=1000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowupError) as err:
-                simulate(model, integ, ExtendedState(q=[1.0], p=[0.0], s=[0.0]))
-        assert err.value.step_index > 0
+                simulate(model, integ, OSCILLATOR_START)
+        assert err.value.step_index == 308
+
+    @pytest.mark.parametrize("scheme", ["euler_maruyama",
+                                        "semi_exact_splitting"])
+    def test_overflow_without_blowup_is_reported(self, scheme):
+        # exp overflows once q passes 0.89, after the first step, yet the
+        # force stays finite
+        def force(q):
+            return -q - 1.0 / (1.0 + np.exp(800.0 * q))
+
+        base = oscillator()
+        model = ModelSpec(domain=base.domain, mass=base.mass, beta=base.beta,
+                          force=ForceField.nonconservative(1, force),
+                          coeffs=base.coeffs, Q=base.Q)
+        integ = IntegratorSpec(scheme, dt=0.01, n_steps=5000)
+        start = ExtendedState(q=[0.0], p=[1.0], s=[0.0])
+        with np.errstate(over="ignore"):
+            quiet = simulate(model, integ, start)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            loud = simulate(model, integ, start)
+        assert np.array_equal(loud.q, quiet.q)
+        assert np.array_equal(loud.p, quiet.p)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                simulate(model, integ, start)
+
+    @pytest.mark.parametrize("scheme", ["euler_maruyama",
+                                        "semi_exact_splitting"])
+    def test_finite_run_raises_no_warning(self, scheme):
+        integ = IntegratorSpec(scheme, dt=0.01, n_steps=9000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate(oscillator(), integ, OSCILLATOR_START)
+        assert np.isfinite(traj.p).all()
 
     def test_ensemble_matches_individual_runs(self):
         model = prony_model()

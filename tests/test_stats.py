@@ -166,6 +166,30 @@ class TestGibbsMomentTest:
         report = gibbs_moment_test(traj, hot)
         assert report.max_abs_z > 3.0
 
+    def test_symmetric_blocks_are_exactly_symmetric(self):
+        from qgle.simulate import Trajectory
+        from qgle.stats import _corrected_z
+        mass = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+        q_aux = np.array([[1.0, 0.4], [0.4, 0.8]])
+        model = ModelSpec(domain=Domain("torus", 3), mass=mass, beta=1.0,
+                          force=ForceField.zero(3),
+                          coeffs=CoefficientField(3, 2, gamma=np.eye(5),
+                                                  sigma=np.eye(5)),
+                          Q=q_aux)
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((3000, 3)) @ np.linalg.cholesky(mass).T
+        s = rng.standard_normal((3000, 2)) @ np.linalg.cholesky(q_aux).T
+        traj = Trajectory(times=np.arange(3000.0), q=rng.random((3000, 3)),
+                          p=p, s=s, noise=None, meta={})
+        report = gibbs_moment_test(traj, model, burn_in=0.0)
+        for z, x, target in ((report.z_pp, p, mass), (report.z_ss, s, q_aux)):
+            assert np.array_equal(z, z.T)
+            # the mirrored lower triangle keeps the value of a direct fill
+            for i in range(x.shape[1]):
+                for j in range(i):
+                    assert z[i, j] == _corrected_z(x[:, i] * x[:, j],
+                                                   target[i, j])
+
     def test_empty_post_burn_in_rejected(self):
         model = prony_model()
         integ = IntegratorSpec("euler_maruyama", dt=1e-3, n_steps=5, seed=0)
