@@ -27,10 +27,8 @@ __all__ = [
     "FordKacSpectrum",
     "NoneqKernels",
     "kernel_eval",
-    "kernel_delta_part",
     "noise_covariance_eval",
     "coeffs_from_prony",
-    "prony_kernel",
     "fordkac_kernel",
     "fordkac_spectrum_for_exponential",
     "spectral_density",
@@ -83,11 +81,6 @@ class MemoryKernel:
         g11, g12, g21, g22 = coeffs.blocks(coeffs.gamma())
         return cls(n=coeffs.n, delta_part=g11, colored_kind="matrix_exp",
                    g12=g12, g22=g22, g21=g21)
-
-
-def kernel_delta_part(kernel):
-    """Coefficient of delta(tau)."""
-    return kernel.delta_part
 
 
 def kernel_eval(kernel, tau):
@@ -150,11 +143,6 @@ def coeffs_from_prony(modes, n=1):
         sigma[rows, rows] = np.sqrt(2.0 * a) * np.eye(n)
     coeffs = CoefficientField(n, m, gamma=gamma, sigma=sigma)
     return coeffs, np.eye(m)
-
-
-def prony_kernel(modes, n=1):
-    """MemoryKernel carrying the Prony sum directly."""
-    return MemoryKernel.from_prony(modes, n=n)
 
 
 @dataclass(frozen=True)

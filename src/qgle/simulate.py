@@ -904,8 +904,10 @@ def trajectory_to_csv(traj, path):
     data = np.concatenate([traj.times[:, None], traj.q, traj.p, traj.s], axis=1)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for row in data:
-            handle.write(",".join(repr(float(x)) for x in row) + "\r\n")
+        # row blocks bound the Python objects that tolist() creates
+        for start in range(0, data.shape[0], 4096):
+            handle.writelines(",".join(map(repr, row)) + "\r\n"
+                              for row in data[start:start + 4096].tolist())
 
 
 def write_noise_sidecar(path, noise):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .errors import NoSignalError
 
@@ -43,17 +43,23 @@ class AutocovEstimate:
     stderr: np.ndarray
 
 
+def _lagged_products(xt, lag):
+    """Products x_{t+lag,i} x_{t,j} of a contiguous (d, N) series as a
+    (d, d, N - lag) array, time along the last axis."""
+    n = xt.shape[-1]
+    return xt[:, None, lag:] * xt[None, :, :n - lag]
+
+
 def _batch_se(products, n_batches):
-    """Standard error of the mean of a (possibly short) product series."""
-    n = products.shape[0]
+    """Standard error of the mean of a (possibly short) product series,
+    from contiguous batches along the last axis."""
+    n = products.shape[-1]
     if n < 2:
-        return np.full(products.shape[1:], np.inf) if products.ndim > 1 \
-            else np.inf
+        return np.full(products.shape[:-1], np.inf)
     b = max(2, min(n_batches, n))
     edges = np.linspace(0, n, b + 1, dtype=int)
-    means = np.stack([products[lo:hi].mean(axis=0)
-                      for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo])
-    return means.std(axis=0, ddof=1) / np.sqrt(means.shape[0])
+    means = np.add.reduceat(products, edges[:-1], axis=-1) / np.diff(edges)
+    return means.std(axis=-1, ddof=1) / np.sqrt(b)
 
 
 def autocovariance(series, max_lag, n_batches=32):
@@ -65,52 +71,49 @@ def autocovariance(series, max_lag, n_batches=32):
     """
     series = np.asarray(series, dtype=float)
     n = series.shape[0]
+    if max_lag < 0:
+        raise ValueError(f"max_lag {max_lag} is negative")
     if n < 10 * max(1, max_lag):
         raise ValueError(f"series of length {n} is too short for max_lag {max_lag}")
-    centered = series - series.mean(axis=0)
+    xt = np.atleast_2d(np.ascontiguousarray((series - series.mean(axis=0)).T))
+    d = xt.shape[0]
     lags = np.arange(max_lag + 1)
-    if centered.ndim == 1:
-        values = np.empty(max_lag + 1)
-        stderr = np.empty(max_lag + 1)
-        for lag in lags:
-            prod = centered[lag:] * centered[:n - lag]
-            values[lag] = prod.sum() / n
-            stderr[lag] = _batch_se(prod, n_batches)
-    else:
-        d = centered.shape[1]
-        values = np.empty((max_lag + 1, d, d))
-        stderr = np.empty((max_lag + 1, d, d))
-        for lag in lags:
-            prod = np.einsum("ti,tj->tij", centered[lag:], centered[:n - lag])
-            values[lag] = prod.sum(axis=0) / n
-            stderr[lag] = _batch_se(prod, n_batches)
+    values = np.empty((max_lag + 1, d, d))
+    stderr = np.empty((max_lag + 1, d, d))
+    for lag in lags:
+        prod = _lagged_products(xt, lag)
+        values[lag] = prod.sum(axis=-1) / n
+        stderr[lag] = _batch_se(prod, n_batches)
+    if series.ndim == 1:
+        values, stderr = values[:, 0, 0], stderr[:, 0, 0]
     return AutocovEstimate(lags=lags, values=values, n_samples=n, stderr=stderr)
 
 
-def _initial_positive_window(acov):
-    """First lag where the autocovariance estimate turns negative."""
-    negative = np.nonzero(acov[1:] < 0)[0]
-    return int(negative[0] + 1) if negative.size else acov.shape[0]
+def _positive_autocov(centered):
+    """Autocovariances c_0, c_1, ... of a centered scalar series, stopping
+    before the first negative lag (initial positive sequence) and at n/2.
+
+    A zero-variance series stops at c_0.
+    """
+    n = centered.shape[0]
+    acov = [centered @ centered / n]
+    if acov[0] == 0:
+        return np.asarray(acov)
+    for lag in range(1, n // 2):
+        value = centered[lag:] @ centered[:n - lag] / n
+        if value < 0:
+            break
+        acov.append(value)
+    return np.asarray(acov)
 
 
 def integrated_autocorrelation_time(series):
     """tau_int = 1/2 + sum rho_k over the initial positive window (>= 1/2)."""
     series = np.asarray(series, dtype=float)
-    centered = series - series.mean()
-    n = centered.shape[0]
-    var = centered @ centered / n
-    if var == 0:
+    acov = _positive_autocov(series - series.mean())
+    if acov[0] == 0:
         return 0.5
-    max_lag = n // 2
-    acov = np.empty(max_lag)
-    acov[0] = var
-    for lag in range(1, max_lag):
-        acov[lag] = centered[lag:] @ centered[:n - lag] / n
-        if acov[lag] < 0:
-            max_lag = lag
-            break
-    window = _initial_positive_window(acov[:max_lag])
-    return max(0.5, 0.5 + float(acov[1:window].sum() / var))
+    return 0.5 + float(acov[1:].sum() / acov[0])
 
 
 def _corrected_z(series, target):
@@ -161,17 +164,6 @@ def gibbs_quadrature_mean(observable, potential, beta, n_points=20001):
     return float((phi * weights).sum() / weights.sum())
 
 
-def _symmetric_z(x, target):
-    """z-scores of E[x_i x_j] = target[i, j], filled for i <= j and mirrored
-    (x_i x_j equals x_j x_i exactly)."""
-    k = x.shape[1]
-    z = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            z[i, j] = z[j, i] = _corrected_z(x[:, i] * x[:, j], target[i, j])
-    return z
-
-
 def gibbs_moment_test(traj, model, observable=None, burn_in=0.1):
     """z-scores for E[pp'] = beta^-1 M, E[ss'] = beta^-1 Q, E[ps'] = 0 and,
     on 1-d torus domains, E[phi(q)] against the quadrature of the Gibbs
@@ -189,16 +181,13 @@ def gibbs_moment_test(traj, model, observable=None, burn_in=0.1):
     q = traj.q[skip:]
     if p.shape[0] < 10:
         raise ValueError("post-burn-in series is too short")
-    n, m = model.n, model.m
-    target_pp = model.mass / model.beta
-    target_ss = model.Q / model.beta
-
-    z_pp = _symmetric_z(p, target_pp)
-    z_ss = _symmetric_z(s, target_ss)
-    z_ps = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            z_ps[i, j] = _corrected_z(p[:, i] * s[:, j], 0.0)
+    n = model.n
+    x = np.ascontiguousarray(np.concatenate([p, s], axis=1).T)
+    target = block_diag(model.mass, model.Q) / model.beta
+    # x_i x_j equals x_j x_i exactly: fill i <= j and mirror
+    z = np.empty(target.shape)
+    for i, j in zip(*np.triu_indices(x.shape[0])):
+        z[i, j] = z[j, i] = _corrected_z(x[i] * x[j], target[i, j])
 
     z_obs = obs_mean = obs_target = None
     if observable is not None:
@@ -209,7 +198,7 @@ def gibbs_moment_test(traj, model, observable=None, burn_in=0.1):
                                            model.beta)
         obs_mean = float(series.mean())
         z_obs = _corrected_z(series, obs_target)
-    return GibbsMomentReport(z_pp=z_pp, z_ss=z_ss, z_ps=z_ps,
+    return GibbsMomentReport(z_pp=z[:n, :n], z_ss=z[n:, n:], z_ps=z[:n, n:],
                              z_observable=z_obs, observable_mean=obs_mean,
                              observable_target=obs_target,
                              n_samples=p.shape[0])
@@ -245,15 +234,17 @@ def noise_stationarity_test(s_path, coeffs, Q, beta, lags, dt, n_batches=32):
     lags = np.asarray(lags, dtype=int)
     scale = np.abs(Q).max() / beta
     n = s_path.shape[0]
+    bad = lags[(lags < 0) | (lags >= n)]
+    if bad.size:
+        raise ValueError(f"lag {bad[0]} is negative or not below the path "
+                         f"length {n}")
+    st = np.ascontiguousarray(s_path.T)
     deviations = np.empty(lags.shape[0])
     stderr = np.empty(lags.shape[0])
     for idx, lag in enumerate(lags):
-        if lag >= n:
-            raise ValueError(f"lag {lag} exceeds the path length")
         ref = expm(-g22 * (lag * dt)) @ Q / beta
-        prod = np.einsum("ti,tj->tij", s_path[lag:], s_path[:n - lag])
-        emp = prod.mean(axis=0)
-        deviations[idx] = np.abs(emp - ref).max() / scale
+        prod = _lagged_products(st, lag)
+        deviations[idx] = np.abs(prod.mean(axis=-1) - ref).max() / scale
         stderr[idx] = np.max(_batch_se(prod, n_batches)) / scale
     return NoiseStationarityResult(lag_times=lags * dt, deviations=deviations,
                                    stderr=stderr,
@@ -289,18 +280,9 @@ def clt_sigma(series, method="green_kubo_window", dt=1.0, n_batches=32):
     if np.all(centered == 0):
         return SigmaEstimate(0.0, 0.0, method, {"n": n})
     if method == "green_kubo_window":
-        max_lag = n // 2
-        acov = [centered @ centered / n]
-        window = max_lag
-        for lag in range(1, max_lag):
-            value = centered[lag:] @ centered[:n - lag] / n
-            if value < 0:
-                window = lag
-                break
-            acov.append(value)
-        acov = np.asarray(acov)
-        sigma2_disc = max(0.0, acov[0] + 2.0 * acov[1:].sum())
-        sigma2 = dt * sigma2_disc
+        acov = _positive_autocov(centered)
+        window = len(acov)
+        sigma2 = dt * (acov[0] + 2.0 * acov[1:].sum())
         stderr = sigma2 * np.sqrt((4.0 * window + 2.0) / n)
         return SigmaEstimate(float(sigma2), float(stderr), method,
                              {"window": int(window), "n": n, "dt": dt})

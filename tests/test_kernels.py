@@ -9,11 +9,9 @@ from qgle.kernels import (
     coeffs_from_prony,
     fordkac_kernel,
     fordkac_spectrum_for_exponential,
-    kernel_delta_part,
     kernel_eval,
     noise_covariance_eval,
     noneq_kernels,
-    prony_kernel,
     spectral_density,
 )
 from qgle.model import solve_fdt_Q
@@ -29,7 +27,7 @@ class TestKernelEval:
         assert kernel_eval(kernel, 0.0) == pytest.approx(np.ones((1, 1)))
 
     def test_prony_values(self):
-        kernel = prony_kernel([(2.0, 3.0)])
+        kernel = MemoryKernel.from_prony([(2.0, 3.0)])
         assert kernel_eval(kernel, 0.0) == pytest.approx(np.array([[2.0]]))
         assert kernel_eval(kernel, np.log(2.0) / 3.0) == pytest.approx(np.array([[1.0]]))
 
@@ -42,7 +40,7 @@ class TestKernelEval:
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
-            kernel_eval(prony_kernel([(1.0, 1.0)]), -0.1)
+            kernel_eval(MemoryKernel.from_prony([(1.0, 1.0)]), -0.1)
 
     def test_round_trip_matches_prony_sum(self):
         rng = np.random.default_rng(2)
@@ -58,7 +56,7 @@ class TestKernelEval:
     def test_delta_part_accessor(self):
         kernel = MemoryKernel(n=1, delta_part=[[0.4]], colored_kind="prony",
                               modes=((1.0, 1.0),))
-        assert kernel_delta_part(kernel) == pytest.approx(np.array([[0.4]]))
+        assert kernel.delta_part == pytest.approx(np.array([[0.4]]))
 
 
 class TestNoiseCovariance:
@@ -171,17 +169,17 @@ class TestFordKacSpectrumForExponential:
 
 class TestSpectralDensity:
     def test_single_mode_at_origin(self):
-        assert spectral_density(prony_kernel([(1.0, 1.0)]), 0.0) == \
+        assert spectral_density(MemoryKernel.from_prony([(1.0, 1.0)]), 0.0) == \
             pytest.approx(1.0 / np.pi)
 
     def test_even(self):
-        kernel = prony_kernel([(1.0, 1.0), (0.3, 2.5)])
+        kernel = MemoryKernel.from_prony([(1.0, 1.0), (0.3, 2.5)])
         ks = np.linspace(0.0, 10.0, 31)
         assert np.allclose(spectral_density(kernel, ks),
                            spectral_density(kernel, -ks))
 
     def test_integrates_to_total_weight(self):
-        kernel = prony_kernel([(1.0, 1.0)])
+        kernel = MemoryKernel.from_prony([(1.0, 1.0)])
         ks = np.linspace(-100.0, 100.0, 200_001)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         integral = trapezoid(spectral_density(kernel, ks), ks)
@@ -189,7 +187,7 @@ class TestSpectralDensity:
 
     def test_positive_at_random_points(self):
         rng = np.random.default_rng(4)
-        kernel = prony_kernel(random_prony_modes(rng))
+        kernel = MemoryKernel.from_prony(random_prony_modes(rng))
         ks = rng.uniform(-50.0, 50.0, size=1000)
         assert np.all(spectral_density(kernel, ks) > 0.0)
 

@@ -542,6 +542,26 @@ class TestFileFormats:
         first = [float(x) for x in lines[1].split(",")]
         assert first == pytest.approx([0.0, 0.25, 1.0, -1.0])
 
+    def test_trajectory_csv_round_trips_every_row_exactly(self, tmp_path):
+        rng = np.random.default_rng(2)
+        k = 9000
+        traj = Trajectory(times=np.arange(k) * 0.01,
+                          q=rng.standard_normal((k, 2)),
+                          p=rng.standard_normal((k, 2)) * 1e-300,
+                          s=rng.standard_normal((k, 3)) * 1e300,
+                          noise=None, meta={})
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, path)
+        text = path.read_bytes().decode("ascii")
+        rows = text.split("\r\n")
+        assert rows[-1] == ""
+        assert len(rows) == k + 2
+        back = np.array([[float(x) for x in row.split(",")]
+                         for row in rows[1:-1]])
+        expected = np.concatenate([traj.times[:, None], traj.q, traj.p,
+                                   traj.s], axis=1)
+        assert np.array_equal(back, expected)
+
     def test_noise_sidecar_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         noise = rng.standard_normal((37, 3))

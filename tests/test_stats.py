@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qgle.errors import NoSignalError
 from qgle.kernels import coeffs_from_prony
@@ -25,6 +26,23 @@ def ar1(rng, n, rho, scale=1.0):
     for i in range(1, n):
         x[i] = rho * x[i - 1] + eps[i]
     return x
+
+
+def reference_batch_se(products, n_batches=32):
+    """Per-slice batch standard error along axis 0: contiguous batches with
+    edges linspace(0, n, b + 1), per-batch means, ddof 1."""
+    n = products.shape[0]
+    b = max(2, min(n_batches, n))
+    edges = np.linspace(0, n, b + 1, dtype=int)
+    means = np.array([products[lo:hi].mean(axis=0)
+                      for lo, hi in zip(edges[:-1], edges[1:])])
+    return means.std(axis=0, ddof=1) / np.sqrt(b)
+
+
+def reference_lagged_products(x, lag):
+    """(n - lag, d, d) products x_{t+lag,i} x_{t,j}."""
+    n = x.shape[0]
+    return np.einsum("ti,tj->tij", x[lag:], x[:n - lag])
 
 
 class TestAutocovariance:
@@ -66,6 +84,42 @@ class TestAutocovariance:
         with pytest.raises(ValueError):
             autocovariance(np.arange(50.0), max_lag=10)
 
+    @pytest.mark.parametrize("max_lag", [-1, -2, -7])
+    def test_negative_max_lag_rejected(self, max_lag):
+        with pytest.raises(ValueError, match=f"max_lag {max_lag}"):
+            autocovariance(np.arange(500.0), max_lag=max_lag)
+
+    @pytest.mark.parametrize("n_batches", [32, 7])
+    def test_scalar_stderr_matches_per_slice_reference(self, n_batches):
+        rng = np.random.default_rng(11)
+        x = ar1(rng, 5003, 0.7)
+        est = autocovariance(x, max_lag=40, n_batches=n_batches)
+        c = x - x.mean()
+        for lag in (0, 1, 5, 17, 40):
+            prod = c[lag:] * c[:c.shape[0] - lag]
+            assert est.values[lag] == pytest.approx(
+                prod.sum() / c.shape[0], rel=1e-12, abs=1e-12 * est.values[0])
+            assert est.stderr[lag] == pytest.approx(
+                reference_batch_se(prod, n_batches), rel=1e-12)
+
+    @pytest.mark.parametrize("n_batches", [32, 5])
+    def test_vector_stderr_matches_per_slice_reference(self, n_batches):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4001, 3)).cumsum(axis=0) % 3.0
+        est = autocovariance(x, max_lag=30, n_batches=n_batches)
+        assert est.values.shape == est.stderr.shape == (31, 3, 3)
+        c = x - x.mean(axis=0)
+        for lag in (0, 2, 9, 30):
+            prod = reference_lagged_products(c, lag)
+            # summation order differs: entries near zero get a lag-0 scale
+            np.testing.assert_allclose(est.values[lag],
+                                       prod.sum(axis=0) / c.shape[0],
+                                       rtol=1e-12,
+                                       atol=1e-12 * np.abs(est.values[0]).max())
+            np.testing.assert_allclose(est.stderr[lag],
+                                       reference_batch_se(prod, n_batches),
+                                       rtol=1e-12, atol=0.0)
+
 
 class TestCltSigma:
     def test_iid_normal(self):
@@ -98,6 +152,21 @@ class TestCltSigma:
             if abs(gk.sigma2 - bm.sigma2) <= 2 * np.hypot(gk.stderr, bm.stderr):
                 agreements += 1
         assert agreements >= 8
+
+    def test_green_kubo_window_is_first_negative_lag(self):
+        rng = np.random.default_rng(13)
+        x = ar1(rng, 3000, 0.6)
+        c = x - x.mean()
+        n = c.shape[0]
+        acov = np.array([c[lag:] @ c[:n - lag] / n for lag in range(n // 2)])
+        window = int(np.argmax(acov < 0))
+        assert window > 1
+        est = clt_sigma(x, "green_kubo_window")
+        assert est.params["window"] == window
+        assert est.sigma2 == pytest.approx(
+            acov[0] + 2.0 * acov[1:window].sum(), rel=1e-12)
+        assert integrated_autocorrelation_time(x) == pytest.approx(
+            0.5 + acov[1:window].sum() / acov[0], rel=1e-12)
 
     def test_constant_series_gives_zero(self):
         est = clt_sigma(np.full(1000, 2.0))
@@ -189,6 +258,10 @@ class TestGibbsMomentTest:
                 for j in range(i):
                     assert z[i, j] == _corrected_z(x[:, i] * x[:, j],
                                                    target[i, j])
+        assert report.z_ps.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                assert report.z_ps[i, j] == _corrected_z(p[:, i] * s[:, j], 0.0)
 
     def test_empty_post_burn_in_rejected(self):
         model = prony_model()
@@ -232,6 +305,29 @@ class TestNoiseStationarity:
         with pytest.raises(ValueError):
             noise_stationarity_test(np.zeros((100, 1)), coeffs, np.eye(1),
                                     1.0, [0], 0.01)
+
+    @pytest.mark.parametrize("lag", [-1, -3, -200, 200, 250])
+    def test_lag_outside_the_path_rejected(self, lag):
+        coeffs, q_mat = coeffs_from_prony([(1.0, 1.0)])
+        s = self.make_exact_ou(1.0, 1.0, 0.02, 200, 4)
+        with pytest.raises(ValueError, match=f"lag {lag} "):
+            noise_stationarity_test(s, coeffs, q_mat, 1.0, [0, lag], 0.02)
+
+    def test_stderr_matches_per_slice_reference(self):
+        coeffs, q_mat = coeffs_from_prony([(1.0, 1.0), (0.5, 3.0)])
+        rng = np.random.default_rng(14)
+        s = rng.standard_normal((3001, 2)).cumsum(axis=0) % 2.0 - 1.0
+        lags = np.array([0, 1, 6, 50])
+        result = noise_stationarity_test(s, coeffs, q_mat, 2.0, lags, 0.05,
+                                         n_batches=9)
+        scale = np.abs(q_mat).max() / 2.0
+        for k, lag in enumerate(lags):
+            prod = reference_lagged_products(s, lag)
+            assert result.stderr[k] == pytest.approx(
+                reference_batch_se(prod, 9).max() / scale, rel=1e-12)
+            ref = expm(-coeffs.gamma()[1:, 1:] * (lag * 0.05)) @ q_mat / 2.0
+            assert result.deviations[k] == pytest.approx(
+                np.abs(prod.mean(axis=0) - ref).max() / scale, rel=1e-12)
 
     def test_deviation_shrinks_with_budget(self):
         coeffs, q_mat = coeffs_from_prony([(1.0, 1.0)])
