@@ -41,6 +41,7 @@ from .model import (
 from .simulate import (
     GibbsInit,
     IntegratorSpec,
+    _write_csv,
     fordkac_simulate,
     simulate,
     trajectory_to_csv,
@@ -166,11 +167,8 @@ def _cmd_check(args):
     if args.kernel_csv and config.model.coeffs.constant:
         kernel = MemoryKernel.from_coeffs(config.model.coeffs)
         ts = np.linspace(0.0, 10.0, 201)
-        with open(args.kernel_csv, "w", newline="") as handle:
-            handle.write("t,K\r\n")
-            for t in ts:
-                value = kernel_eval(kernel, float(t))
-                handle.write(f"{float(t)!r},{float(value[0, 0])!r}\r\n")
+        values = [kernel_eval(kernel, float(t))[0, 0] for t in ts]
+        _write_csv(args.kernel_csv, ["t", "K"], np.column_stack([ts, values]))
     if args.format == "json":
         print(json.dumps({"certificates": [_cert_json(c) for c in certs]},
                          sort_keys=True, indent=2))
@@ -237,10 +235,8 @@ def _cmd_fordkac(args):
                             p0=float(section.get("p0", 0.0)),
                             stride=int(section.get("stride", 1)))
     csv_path = _out_path(args, config, "fordkac.csv", "trajectory_csv")
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("t,q,p,energy\r\n")
-        for t, q, p, e in zip(traj.times, traj.q, traj.p, traj.energy):
-            handle.write(f"{float(t)!r},{float(q)!r},{float(p)!r},{float(e)!r}\r\n")
+    _write_csv(csv_path, ["t", "q", "p", "energy"],
+               np.column_stack([traj.times, traj.q, traj.p, traj.energy]))
     drift = float(np.abs(traj.energy - traj.energy[0]).max()
                   / max(1e-300, abs(traj.energy[0])))
     if args.format == "json":
@@ -354,11 +350,9 @@ def _cmd_figure_eigs(args):
         c_mat = posdep_certificate_search(model.coeffs, grid)
     verification = posdep_certificate_verify(model.coeffs, c_mat, grid)
     csv_path = _out_path(args, config, "figure_eigs.csv", "figure_csv")
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("q,lambda_min,lambda_max\r\n")
-        for row, eigs in zip(grid, verification.eigenvalues):
-            handle.write(f"{float(row[0])!r},{float(eigs[0])!r},"
-                         f"{float(eigs[-1])!r}\r\n")
+    eigs = verification.eigenvalues
+    _write_csv(csv_path, ["q", "lambda_min", "lambda_max"],
+               np.column_stack([grid[:, 0], eigs[:, 0], eigs[:, -1]]))
     if args.format == "json":
         print(json.dumps({"figure_csv": csv_path,
                           "margin": verification.margin},

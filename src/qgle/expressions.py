@@ -28,7 +28,6 @@ __all__ = [
     "Expr",
     "ExpressionError",
     "parse_expr",
-    "eval_expr",
     "compile_expr",
     "diff_expr",
     "max_q_index",
@@ -192,36 +191,6 @@ def parse_expr(text):
     return _Parser(_tokenize(text)).parse()
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-
-def eval_expr(expr, q):
-    """Evaluate ``expr`` at ``q``.
-
-    ``q`` is an ``(n,)`` point or an ``(R, n)`` batch; the result is a scalar
-    or an ``(R,)`` array, broadcast with numpy ufuncs.
-    """
-    q = np.asarray(q, dtype=float)
-    if isinstance(expr, Num):
-        if q.ndim == 2:
-            return np.full(q.shape[0], expr.value)
-        return np.float64(expr.value)  # IEEE semantics, also for division
-    if isinstance(expr, Var):
-        return q[..., expr.index]
-    if isinstance(expr, Call):
-        return _UFUNCS[expr.func](eval_expr(expr.arg, q))
-    left = eval_expr(expr.left, q)
-    right = eval_expr(expr.right, q)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return left / right
-
-
 def _codegen(expr):
     if isinstance(expr, Num):
         return repr(expr.value)
@@ -236,8 +205,8 @@ def compile_expr(expr):
     """Compile an expression tree into a fast vectorized callable.
 
     The generated source only references numpy ufuncs and q components, so
-    this is a plain constant fold of the tree; eval_expr stays the
-    tree-walking reference.  Constant expressions broadcast to the batch.
+    this is a plain constant fold of the tree.  Constant expressions
+    broadcast to the batch.
     """
     src = _codegen(expr)
     raw = eval(f"lambda q: {src}", {"np": np, "__builtins__": {}})

@@ -9,10 +9,13 @@ in law).
 Stepping works in place on preallocated buffers with one step body per
 scheme.  The splitting step carries the force of its closing half-kick into
 the opening half-kick of the next step, so it makes one force call per
-step.  Finiteness is checked once per chunk of 4096 steps; a chunk that
-ends non-finite (or raised a floating-point error the caller does not
-ignore) is restored from its start and replayed step by step, so a blowup
-reports the same step index and warnings as a per-step check.
+step.  The explicit bath's velocity-Verlet loop works the same way on
+(replicas x modes) buffers, carrying both half-kicks between steps, with
+one gradient call per step.  Both loops run through one driver that checks
+finiteness once per chunk of 4096 steps; a chunk that ends non-finite (or
+raised a floating-point error the caller does not ignore) is restored from
+its start and replayed step by step, so a blowup reports the same step
+index and warnings as a per-step check.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (seed, trajectory index), so ensembles are reproducible and independent of
@@ -301,6 +304,62 @@ def _resolve_initial(model, initial, rng):
     raise TypeError("initial must be an ExtendedState or GibbsInit")
 
 
+def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
+    """Run ``body`` n_steps times, checking finiteness once per chunk.
+
+    ``body(k)`` advances the state buffers in place by step k of the
+    current chunk; ``begin(step, take)``, if given, prepares the chunk of
+    ``take`` steps that follows step ``step``; ``store(out)`` records the
+    state as output row ``out`` after every ``stride``-th step (row 0 is
+    the caller's); ``finite()`` says whether the state is finite.
+
+    Each chunk of 4096 steps runs with numpy's floating-point errors
+    recorded instead of reported (categories the caller ignores stay
+    ignored).  A chunk that ends non-finite, recorded an error or raised is
+    restored from its start (the arrays in ``state``) and replayed one
+    checked step at a time under the caller's errstate, so the caller sees
+    the warnings, exceptions and ``IntegrationBlowupError`` step index of a
+    per-step check.  Returns the number of rows stored, row 0 included.
+    """
+    def advance(step, take, out, checked):
+        for k in range(take):
+            body(k)
+            if checked and not finite():
+                raise IntegrationBlowupError(step + k + 1)
+            if (step + k + 1) % stride == 0:
+                store(out)
+                out += 1
+        return out
+
+    faults = []
+    watch = {key: "ignore" if mode == "ignore" else "call"
+             for key, mode in np.geterr().items() if key != "under"}
+    chunk = max(1, min(n_steps, 4096))
+    step = 0
+    out = 1
+    while step < n_steps:
+        take = min(chunk, n_steps - step)
+        if begin is not None:
+            begin(step, take)
+        saved = [a.copy() for a in state]
+        faults.clear()
+        try:
+            with np.errstate(**watch,
+                             call=lambda kind, flag: faults.append(kind)):
+                end = advance(step, take, out, checked=False)
+        except Exception:
+            # raised by a step after a blowup, perhaps; the checked replay
+            # raises whichever error a per-step check meets first
+            faults.append("exception")
+        if faults or not finite():
+            for a, b in zip(state, saved):
+                a[...] = b
+            end = advance(step, take, out, checked=True)
+        out = end
+        step += take
+    return out
+
+
 def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     """Advance R replicas n_steps; returns strided arrays (+ full noise).
 
@@ -311,13 +370,8 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     half * F(q) from the closing half-kick of one step into the opening
     half-kick of the next, so each step makes one force call.
 
-    Finiteness of z is checked once per chunk of 4096 steps, with numpy's
-    floating-point errors recorded instead of reported (categories the
-    caller ignores stay ignored).  A chunk that ends non-finite, recorded
-    an error or raised is restored from its start and replayed one checked
-    step at a time under the caller's errstate, so the caller sees the
-    warnings, exceptions and ``IntegrationBlowupError`` step index of a
-    per-step check.
+    The steps run through ``_step_chunks``, which checks finiteness of z
+    once per chunk of 4096 steps and replays a faulty chunk step by step.
     ``replay`` injects stored increments instead of drawing from the
     streams (bit-exact regeneration).
     """
@@ -417,24 +471,9 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
                 np.multiply(kick, sqrt_kick, out=kick)
                 euler_update(kick)
 
-    def advance(step, take, out, checked):
-        for k in range(take):
-            body(k)
-            if checked and not np.isfinite(z).all():
-                raise IntegrationBlowupError(step + k + 1)
-            if (step + k + 1) % stride == 0:
-                qs[:, out], zs[:, out] = q, z
-                out += 1
-        return out
-
-    faults = []
-    watch = {key: "ignore" if mode == "ignore" else "call"
-             for key, mode in np.geterr().items() if key != "under"}
-    chunk = max(1, min(n_steps, 4096))
-    step = 0
-    out = 1
-    while step < n_steps:
-        take = min(chunk, n_steps - step)
+    def begin(step, take):
+        """Draw (or take from ``replay``) and pre-transform a chunk's noise."""
+        nonlocal xi, kicks
         if replay is not None:
             xi = replay[:, step:step + take]
         else:
@@ -445,22 +484,12 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
             kicks = xi @ cache.factor.T
         elif coeffs.constant:
             kicks = sqrt_kick * (xi @ sigma_t)
-        saved = [a.copy() for a in state]
-        faults.clear()
-        try:
-            with np.errstate(**watch,
-                             call=lambda kind, flag: faults.append(kind)):
-                end = advance(step, take, out, checked=False)
-        except Exception:
-            # raised by a step after a blowup, perhaps; the checked replay
-            # raises whichever error a per-step check meets first
-            faults.append("exception")
-        if faults or not np.isfinite(z).all():
-            for a, b in zip(state, saved):
-                a[...] = b
-            end = advance(step, take, out, checked=True)
-        out = end
-        step += take
+
+    def store(out):
+        qs[:, out], zs[:, out] = q, z
+
+    out = _step_chunks(n_steps, stride, state, body,
+                       lambda: np.isfinite(z).all(), store, begin)
     times = np.arange(out) * (dt * stride)
     return times, qs[:, :out], zs[:, :out, :n], zs[:, :out, n:], \
         (noise if collect_noise else None)
@@ -673,68 +702,103 @@ def _fk_energy(u, q, p, bq, bp, k, mass):
     return 0.5 * p**2 + u(q) + kinetic_bath + coupling
 
 
-def _fk_forces(du, q, bq, k):
-    spring = k * (bq - q[..., None])
-    return -du(q) + spring.sum(axis=-1), -spring
-
-
-def _fordkac_run(u, du, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
-                 n_replicas=1):
+def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
+                 n_replicas=1, energy=True):
     """Velocity-Verlet on the full Hamiltonian, batched over replicas.
 
     Bath initialized from the Gibbs measure conditional on q0:
     positions N(q0, 1/(beta k_j)), momenta N(0, m_j/beta).
+
+    The state lives in preallocated (R,) and (R, nb) buffers that the step
+    updates in place, in the floating-point order of the plain expressions
+    p + (dt/2) F, b_p - (dt/2) k (b_q - q), q + dt p and b_q + dt b_p / m_b,
+    so the path is the same bit for bit.  The half-kicks of a step's closing
+    half are carried into the opening half of the next step, so each step
+    calls the potential's gradient once.  Stiffness and bath-mass rows are
+    copied to full (R, nb) arrays once, so no loop operand is broadcast.
+    The steps run through ``_step_chunks``: finiteness of (q, p) is checked
+    once per 4096-step chunk and a faulty chunk is replayed step by step.
+    With ``energy`` false the total energies are not computed (None).
     """
+    if force is None:
+        grad = None
+
+        def u(q):
+            return np.zeros_like(q)
+    else:
+        grad = force._grad
+        if grad is None:
+            raise NonConservativeError("force has no potential gradient")
+
+        def u(q):
+            return np.asarray(force.potential(q[:, None]), dtype=float)
+
     k = spectrum.stiffness
     mass = spectrum.bath_mass
     nb = len(spectrum)
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_replicas,)).astype(float).copy()
-    p = np.broadcast_to(np.asarray(p0, dtype=float), (n_replicas,)).astype(float).copy()
+    R = n_replicas
+    q = np.broadcast_to(np.asarray(q0, dtype=float), (R,)).copy()
+    p = np.broadcast_to(np.asarray(p0, dtype=float), (R,)).copy()
     if nb:
-        bq = q[:, None] + rng.standard_normal((n_replicas, nb)) / np.sqrt(beta * k)
-        bp = rng.standard_normal((n_replicas, nb)) * np.sqrt(mass / beta)
+        bq = q[:, None] + rng.standard_normal((R, nb)) / np.sqrt(beta * k)
+        bp = rng.standard_normal((R, nb)) * np.sqrt(mass / beta)
     else:
-        bq = np.zeros((n_replicas, 0))
-        bp = np.zeros((n_replicas, 0))
+        bq = np.zeros((R, 0))
+        bp = np.zeros((R, 0))
 
     n_out = n_steps // stride + 1
-    qs = np.empty((n_replicas, n_out))
-    ps = np.empty((n_replicas, n_out))
-    es = np.empty((n_replicas, n_out))
+    qs = np.empty((R, n_out))
+    ps = np.empty((R, n_out))
+    es = np.empty((R, n_out)) if energy else None
     qs[:, 0], ps[:, 0] = q, p
-    es[:, 0] = _fk_energy(u, q, p, bq, bp, k, mass)
+    if energy:
+        es[:, 0] = _fk_energy(u, q, p, bq, bp, k, mass)
 
-    fq, fb = _fk_forces(du, q, bq, k)
-    out = 1
     half = 0.5 * dt
-    for step in range(1, n_steps + 1):
-        p = p + half * fq
-        bp = bp + half * fb
-        q = q + dt * p
-        if nb:
-            bq = bq + dt * bp / mass
-        fq, fb = _fk_forces(du, q, bq, k)
-        p = p + half * fq
-        bp = bp + half * fb
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(p)):
-            raise IntegrationBlowupError(step)
-        if step % stride == 0:
-            qs[:, out], ps[:, out] = q, p
+    stiff = np.tile(k, (R, 1))
+    bmass = np.tile(mass, (R, 1))
+    q_col = q[:, None]            # (R, 1) view: the gradient's batch layout
+    work = np.empty((R, nb))      # dt b_p / m_b, then k (b_q - q)
+    hs = np.empty((R, nb))        # (dt/2) k (b_q - q), carried between steps
+    total = np.empty(R)           # sum_j k_j (b_q,j - q) - U'(q)
+    total_col = total[:, None]
+    hf = np.empty(R)              # (dt/2) F, carried between steps
+    dq = np.empty(R)
+
+    def half_kicks():
+        """hf <- (dt/2) F(q, b_q) and hs <- (dt/2) k (b_q - q)."""
+        np.copyto(work, q_col)
+        np.subtract(bq, work, out=work)
+        np.multiply(stiff, work, out=work)
+        np.sum(work, axis=1, out=total)
+        np.multiply(work, half, out=hs)
+        if grad is not None:
+            np.subtract(total_col, grad(q_col), out=total_col)
+        np.multiply(total, half, out=hf)
+
+    def body(_):
+        np.add(p, hf, out=p)
+        np.subtract(bp, hs, out=bp)
+        np.multiply(p, dt, out=dq)
+        np.add(q, dq, out=q)
+        np.multiply(bp, dt, out=work)
+        np.divide(work, bmass, out=work)
+        np.add(bq, work, out=bq)
+        half_kicks()
+        np.add(p, hf, out=p)
+        np.subtract(bp, hs, out=bp)
+
+    def store(out):
+        qs[:, out], ps[:, out] = q, p
+        if energy:
             es[:, out] = _fk_energy(u, q, p, bq, bp, k, mass)
-            out += 1
+
+    half_kicks()
+    out = _step_chunks(n_steps, stride, [q, p, bq, bp, hf, hs], body,
+                       lambda: np.isfinite(q).all() and np.isfinite(p).all(),
+                       store)
     times = np.arange(out) * (dt * stride)
-    return times, qs[:, :out], ps[:, :out], es[:, :out]
-
-
-def _potential_pair(force):
-    """Scalar potential and derivative callables from a ForceField (n=1)."""
-    if force is None:
-        return (lambda q: np.zeros_like(q)), (lambda q: np.zeros_like(q))
-    def u(q):
-        return np.asarray(force.potential(np.atleast_1d(q)[:, None]), dtype=float)
-    def du(q):
-        return np.asarray(force.grad_potential(np.atleast_1d(q)[:, None]))[:, 0]
-    return u, du
+    return times, qs[:, :out], ps[:, :out], None if es is None else es[:, :out]
 
 
 def fordkac_simulate(force, spectrum, beta, dt, T, seed, q0, p0, stride=1):
@@ -745,10 +809,9 @@ def fordkac_simulate(force, spectrum, beta, dt, T, seed, q0, p0, stride=1):
     deterministic kernel (the bath's cosine sum).
     """
     from .kernels import fordkac_kernel
-    u, du = _potential_pair(force)
     n_steps = int(round(T / dt))
     rng = _philox(seed, 0, purpose=2)
-    times, qs, ps, es = _fordkac_run(u, du, spectrum, beta, dt, n_steps,
+    times, qs, ps, es = _fordkac_run(force, spectrum, beta, dt, n_steps,
                                      stride, rng, q0, p0, n_replicas=1)
     return FordKacTrajectory(
         times=times, q=qs[0], p=ps[0], energy=es[0],
@@ -764,6 +827,12 @@ def fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
     marginal of a harmonic potential when the force has a linear part, else
     q0 = 0); p0 is N(0, 1/beta).
     """
+    return _fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
+                             stride=stride, q0_sampler=q0_sampler, energy=True)
+
+
+def _fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas, stride,
+                      q0_sampler, energy):
     rng = _philox(seed, 0, purpose=3)
     if q0_sampler is not None:
         q0 = q0_sampler(rng, n_replicas)
@@ -773,11 +842,10 @@ def fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
     else:
         q0 = np.zeros(n_replicas)
     p0 = rng.standard_normal(n_replicas) / np.sqrt(beta)
-    u, du = _potential_pair(force)
     n_steps = int(round(T / dt))
     bath_rng = _philox(seed, 1, purpose=2)
-    return _fordkac_run(u, du, spectrum, beta, dt, n_steps, stride, bath_rng,
-                        q0, p0, n_replicas=n_replicas)
+    return _fordkac_run(force, spectrum, beta, dt, n_steps, stride, bath_rng,
+                        q0, p0, n_replicas=n_replicas, energy=energy)
 
 
 def velocity_autocorrelation(p_paths, n_lags):
@@ -862,8 +930,10 @@ def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
     fk_corrs = []
     for m in m_list:
         spectrum = fordkac_spectrum_for_exponential(c, alpha, m, omega_max)
-        _, _, ps, _ = fordkac_ensemble(force, spectrum, beta, dt, t_sim,
-                                       seed + m, n_ensemble, stride=stride)
+        # only p is compared, so the bath energies are not computed
+        _, _, ps, _ = _fordkac_ensemble(force, spectrum, beta, dt, t_sim,
+                                        seed + m, n_ensemble, stride=stride,
+                                        q0_sampler=None, energy=False)
         fk_corrs.append(velocity_autocorrelation(ps, n_lags))
 
     def metric(fk_rows, gle_rows):
@@ -895,19 +965,25 @@ def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
 # File formats
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj, path):
-    """Header row, then t, q_1..q_n, p_1..p_n, s_1..s_m per stored state."""
-    n = traj.q.shape[1]
-    m = traj.s.shape[1]
-    header = (["t"] + [f"q_{i+1}" for i in range(n)]
-              + [f"p_{i+1}" for i in range(n)] + [f"s_{i+1}" for i in range(m)])
-    data = np.concatenate([traj.times[:, None], traj.q, traj.p, traj.s], axis=1)
+def _write_csv(path, header, data):
+    """CRLF-terminated CSV: the header names, then one row per row of the
+    float array ``data``, each value written as the repr of a float."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         # row blocks bound the Python objects that tolist() creates
         for start in range(0, data.shape[0], 4096):
             handle.writelines(",".join(map(repr, row)) + "\r\n"
                               for row in data[start:start + 4096].tolist())
+
+
+def trajectory_to_csv(traj, path):
+    """Header row, then t, q_1..q_n, p_1..p_n, s_1..s_m per stored state."""
+    n = traj.q.shape[1]
+    m = traj.s.shape[1]
+    header = (["t"] + [f"q_{i+1}" for i in range(n)]
+              + [f"p_{i+1}" for i in range(n)] + [f"s_{i+1}" for i in range(m)])
+    _write_csv(path, header, np.concatenate(
+        [traj.times[:, None], traj.q, traj.p, traj.s], axis=1))
 
 
 def write_noise_sidecar(path, noise):

@@ -241,6 +241,32 @@ class TestDispatch:
         report = json.loads(capsys.readouterr().out)
         assert report["relative_energy_drift"] <= 1e-4
 
+    def test_fordkac_csv_bytes_match_the_row_format(self, tmp_path,
+                                                    monkeypatch):
+        import qgle.cli as cli
+
+        runs = []
+        simulate_bath = cli.fordkac_simulate
+
+        def recording_simulate(*args, **kwargs):
+            runs.append(simulate_bath(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "fordkac_simulate", recording_simulate)
+        with open(config_path("fordkac.json")) as handle:
+            raw = json.load(handle)
+        raw["fordkac"]["stride"] = 1  # 10001 rows: several 4096-row blocks
+        path = tmp_path / "fordkac.json"
+        path.write_text(json.dumps(raw))
+        assert dispatch(["fordkac", "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+        traj = runs[0]
+        expected = "t,q,p,energy\r\n" + "".join(
+            f"{float(t)!r},{float(q)!r},{float(p)!r},{float(e)!r}\r\n"
+            for t, q, p, e in zip(traj.times, traj.q, traj.p, traj.energy))
+        assert len(traj.times) == 10001
+        assert (tmp_path / "fordkac.csv").read_bytes() == expected.encode()
+
     def test_analyze_emits_stable_json(self, tmp_path, capsys):
         code = dispatch(["analyze", "--config", config_path("prony.json"),
                          "--out", str(tmp_path)])

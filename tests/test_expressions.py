@@ -12,12 +12,41 @@ from qgle.expressions import (
     Var,
     compile_expr,
     diff_expr,
-    eval_expr,
     parse_expr,
     screen_division,
     screen_torus_periodicity,
     validate_expr,
 )
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def eval_expr(expr, q):
+    """Tree-walking reference evaluator for ``compile_expr``.
+
+    ``q`` is an ``(n,)`` point or an ``(R, n)`` batch; the result is a scalar
+    or an ``(R,)`` array, broadcast with numpy ufuncs.
+    """
+    q = np.asarray(q, dtype=float)
+    if isinstance(expr, Num):
+        if q.ndim == 2:
+            return np.full(q.shape[0], expr.value)
+        return np.float64(expr.value)  # IEEE semantics, also for division
+    if isinstance(expr, Var):
+        return q[..., expr.index]
+    if isinstance(expr, Call):
+        return _UFUNCS[expr.func](eval_expr(expr.arg, q))
+    left = eval_expr(expr.left, q)
+    right = eval_expr(expr.right, q)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    if expr.op == "*":
+        return left * right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return left / right
 
 
 def test_example_entry_at_zero():

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
-from qgle.errors import IntegrationBlowupError
+from qgle.errors import IntegrationBlowupError, NonConservativeError
 from qgle.kernels import FordKacSpectrum, coeffs_from_prony
 from qgle.model import (
     CoefficientField,
@@ -19,6 +19,7 @@ from qgle.simulate import (
     IntegratorSpec,
     Trajectory,
     _SplittingCache,
+    _philox,
     colored_noise_path,
     fordkac_ensemble,
     fordkac_simulate,
@@ -486,6 +487,78 @@ class TestColoredNoisePath:
         assert np.allclose(path, traj.s, atol=1e-12)
 
 
+def reference_fordkac(force, spectrum, beta, dt, n_steps, stride, rng, q0,
+                      p0, n_replicas):
+    """Plain velocity-Verlet of the bath model: fresh arrays for every
+    expression, forces recomputed from scratch, no chunking.  The library's
+    in-place loop must reproduce its q, p and energy bit for bit."""
+    if force is None:
+        def u(q):
+            return np.zeros_like(q)
+
+        def du(q):
+            return np.zeros_like(q)
+    else:
+        def u(q):
+            return np.asarray(force.potential(q[:, None]), dtype=float)
+
+        def du(q):
+            return np.asarray(force.grad_potential(q[:, None]))[:, 0]
+    k, mass, nb = spectrum.stiffness, spectrum.bath_mass, len(spectrum)
+    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_replicas,)).astype(float)
+    p = np.broadcast_to(np.asarray(p0, dtype=float), (n_replicas,)).astype(float)
+    if nb:
+        bq = q[:, None] + rng.standard_normal((n_replicas, nb)) / np.sqrt(beta * k)
+        bp = rng.standard_normal((n_replicas, nb)) * np.sqrt(mass / beta)
+    else:
+        bq = bp = np.zeros((n_replicas, 0))
+
+    def energy(q, p, bq, bp):
+        coupling = 0.5 * np.sum(k * (bq - q[:, None]) ** 2, axis=-1)
+        kinetic = 0.5 * np.sum(bp**2 / mass, axis=-1) if nb else np.zeros_like(q)
+        return 0.5 * p**2 + u(q) + kinetic + coupling
+
+    def forces(q, bq):
+        spring = k * (bq - q[:, None])
+        return -du(q) + spring.sum(axis=-1), -spring
+
+    qs, ps, es = [q], [p], [energy(q, p, bq, bp)]
+    fq, fb = forces(q, bq)
+    half = 0.5 * dt
+    for step in range(1, n_steps + 1):
+        p = p + half * fq
+        bp = bp + half * fb
+        q = q + dt * p
+        if nb:
+            bq = bq + dt * bp / mass
+        fq, fb = forces(q, bq)
+        p = p + half * fq
+        bp = bp + half * fb
+        if step % stride == 0:
+            qs.append(q)
+            ps.append(p)
+            es.append(energy(q, p, bq, bp))
+    return np.stack(qs, axis=1), np.stack(ps, axis=1), np.stack(es, axis=1)
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+FK_FORCES = {
+    "none": None,
+    "harmonic": ForceField.harmonic([[1.5]]),
+    "expression": ForceField.from_potential_expr("q1*q1/2+sin(q1)/4", 1),
+}
+FK_SPECTRA = {
+    "two-mode": FordKacSpectrum(((0.3, 0.5), (0.7, 2.5))),
+    "empty": FordKacSpectrum(()),
+}
+# dt = 0.0401 lies just above the Verlet limit 2/50 of the stiff mode
+FK_BLOWUP_SPECTRUM = FordKacSpectrum(((1.0, 50.0), (0.5, 3.0)))
+
+
 class TestFordKac:
     def test_single_mode_energy_conservation(self):
         spectrum = FordKacSpectrum(((1.0, 1.0),))
@@ -520,6 +593,79 @@ class TestFordKac:
         spectrum = FordKacSpectrum(((2.0, 3.0),))
         traj = fordkac_simulate(None, spectrum, 1.0, 1e-2, 0.1, 0, 0.0, 0.0)
         assert traj.meta["kernel"](0.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("force", FK_FORCES)
+    @pytest.mark.parametrize("spectrum", FK_SPECTRA)
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_single_run_matches_reference_verlet_bitwise(self, force, spectrum,
+                                                         stride):
+        # 9000 steps cross the 4096-step chunk boundary twice
+        dt, n_steps = 0.01, 9000
+        sp = FK_SPECTRA[spectrum]
+        traj = fordkac_simulate(FK_FORCES[force], sp, 1.3, dt, n_steps * dt,
+                                5, 0.4, -0.2, stride=stride)
+        qs, ps, es = reference_fordkac(FK_FORCES[force], sp, 1.3, dt, n_steps,
+                                       stride, _philox(5, 0, purpose=2),
+                                       0.4, -0.2, 1)
+        assert_same_bytes(traj.q, qs[0])
+        assert_same_bytes(traj.p, ps[0])
+        assert_same_bytes(traj.energy, es[0])
+
+    @pytest.mark.parametrize("force", FK_FORCES)
+    @pytest.mark.parametrize("spectrum", FK_SPECTRA)
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_ensemble_matches_reference_verlet_bitwise(self, force, spectrum,
+                                                       stride):
+        dt, n_steps, replicas = 0.01, 9000, 16
+
+        def q0_sampler(rng, size):
+            return rng.uniform(-1.0, 1.0, size)
+
+        sp = FK_SPECTRA[spectrum]
+        _, q, p, energy = fordkac_ensemble(FK_FORCES[force], sp, 0.8, dt,
+                                           n_steps * dt, 11, replicas,
+                                           stride=stride,
+                                           q0_sampler=q0_sampler)
+        rng = _philox(11, 0, purpose=3)
+        q0 = q0_sampler(rng, replicas)
+        p0 = rng.standard_normal(replicas) / np.sqrt(0.8)
+        qs, ps, es = reference_fordkac(FK_FORCES[force], sp, 0.8, dt, n_steps,
+                                       stride, _philox(11, 1, purpose=2),
+                                       q0, p0, replicas)
+        assert_same_bytes(q, qs)
+        assert_same_bytes(p, ps)
+        assert_same_bytes(energy, es)
+
+    @pytest.mark.parametrize("dt, run, index", [
+        (0.0401, "simulate", 4813), (0.0401, "ensemble", 4810),
+        (0.2, "simulate", 156), (0.2, "ensemble", 155)])
+    def test_blowup_reports_step_index_and_warns(self, dt, run, index):
+        # at dt = 0.0401 the blowup falls in the second 4096-step chunk
+        def go():
+            if run == "simulate":
+                return fordkac_simulate(None, FK_BLOWUP_SPECTRUM, 1.0, dt,
+                                        20000 * dt, 3, 0.5, 0.1, stride=7)
+            return fordkac_ensemble(None, FK_BLOWUP_SPECTRUM, 1.0, dt,
+                                    20000 * dt, 3, 16, stride=3)
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(IntegrationBlowupError) as err:
+                go()
+        assert err.value.step_index == index
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                go()
+
+    def test_nonconservative_force_is_refused(self):
+        force = ForceField.nonconservative(1, lambda q: -q)
+        spectrum = FordKacSpectrum(((1.0, 1.0),))
+        with pytest.raises(NonConservativeError):
+            fordkac_simulate(force, spectrum, 1.0, 1e-2, 0.1, 0, 0.0, 0.0)
+        with pytest.raises(NonConservativeError):
+            fordkac_ensemble(force, spectrum, 1.0, 1e-2, 0.1, 0, 4)
+        with pytest.raises(NonConservativeError):
+            fordkac_vs_gle(1.0, 1.0, [2], force, T=0.1, n_ensemble=4, seed=0,
+                           dt=1e-2, stride=1)
 
     def test_vs_gle_single_row_and_t_zero(self):
         result = fordkac_vs_gle(1.0, 1.0, [8], None, T=0.0, n_ensemble=4,
