@@ -258,6 +258,160 @@ def test_single_steps_compose_to_the_run(make_model, scheme, step):
             assert np.array_equal(state.s, traj.s[i]), k
 
 
+def reference_extended(model, scheme, dt, n_steps, stride, q, p, s, noise):
+    """Plain stepping of the extended SDE: fresh arrays for every
+    expression, the force recomputed from scratch at every use, in the
+    floating-point order the ``simulate`` docstring documents.  The library's
+    in-place bodies must reproduce its times, q, p and s bit for bit.
+
+    ``noise`` is (R, n_steps, n+m).  The increments of each 4096-step block
+    are transformed by one matrix product, as in the library, because a
+    many-row product rounds differently from a one-row product.  For the
+    same reason the Euler step multiplies by contiguous copies of Gamma' and
+    Sigma' and the splitting step by transposed views, as the library does:
+    a one-row product against a view can round differently.
+    """
+    n = model.n
+    minv = model.mass_inv
+    identity = np.array_equal(minv, np.eye(n))
+    coeffs = model.coeffs
+    half = 0.5 * dt
+    sqrt_kick = np.sqrt(dt / model.beta)
+
+    def velocity(p):
+        return p if identity else p @ minv.T
+
+    def wrap(q):
+        return np.mod(q, 1.0) if model.domain.is_torus else q
+
+    if scheme == "semi_exact_splitting":
+        cache = _SplittingCache(model, dt)
+    elif coeffs.constant:
+        gamma_t = np.ascontiguousarray(coeffs.gamma().T)
+        sigma_t = np.ascontiguousarray(coeffs.sigma().T)
+    qs, ps, ss = [q], [p], [s]
+    for start in range(0, n_steps, 4096):
+        block = noise[:, start:start + 4096]
+        if scheme == "semi_exact_splitting":
+            kicks = block @ cache.factor.T
+        elif coeffs.constant:
+            kicks = sqrt_kick * (block @ sigma_t)
+        for k in range(block.shape[1]):
+            if scheme == "semi_exact_splitting":
+                p = p + half * model.force(q)
+                q = wrap(q + half * velocity(p))
+                z = np.concatenate([p, s], axis=1) @ cache.decay.T + kicks[:, k]
+                p, s = z[:, :n], z[:, n:]
+                q = wrap(q + half * velocity(p))
+                p = p + half * model.force(q)
+            else:
+                zh = np.concatenate([velocity(p), s], axis=1)
+                if coeffs.constant:
+                    drift = zh @ gamma_t
+                    kick = kicks[:, k]
+                else:
+                    drift = np.einsum("rij,rj->ri", coeffs.gamma(q), zh)
+                    kick = np.einsum("rij,rj->ri", coeffs.sigma(q),
+                                     block[:, k]) * sqrt_kick
+                force = model.force(q)
+                q = wrap(q + dt * velocity(p))
+                z = np.concatenate([p, s], axis=1) - dt * drift + kick
+                p, s = z[:, :n] + dt * force, z[:, n:]
+            if (start + k + 1) % stride == 0:
+                qs.append(q)
+                ps.append(p)
+                ss.append(s)
+    times = np.arange(len(qs)) * (dt * stride)
+    return times, np.stack(qs, axis=1), np.stack(ps, axis=1), \
+        np.stack(ss, axis=1)
+
+
+def _tilted_force(n):
+    """Non-conservative: a periodic force plus a constant tilt (and a
+    rotation for n = 2)."""
+    def force(q):
+        f = 0.5 - np.sin(2 * np.pi * q)
+        if n == 2:
+            f = f + 0.3 * np.cos(2 * np.pi * q[:, ::-1]) * np.array([1.0, -1.0])
+        return f
+    return ForceField.nonconservative(n, force)
+
+
+def _constant_model(domain, n, mass, force):
+    rng = np.random.default_rng(40 + n)
+    dim = n + 1
+    gamma = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    sigma = np.diag(rng.uniform(0.3, 1.2, dim))
+    return ModelSpec(domain=Domain(domain, n), mass=np.asarray(mass),
+                     beta=0.8, force=force,
+                     coeffs=CoefficientField(n, 1, gamma=gamma, sigma=sigma))
+
+
+def _posdep_tilted_model():
+    model = _posdep_model()
+    return ModelSpec(domain=model.domain, mass=model.mass, beta=model.beta,
+                     force=_tilted_force(1), coeffs=model.coeffs, Q=model.Q)
+
+
+MASS2 = [[2.0, 0.3], [0.3, 1.5]]
+REFERENCE_CASES = {
+    "split-torus-1-expression": (prony_model, "semi_exact_splitting"),
+    "split-torus-2-mass-expression": (_two_dim_mass_model,
+                                      "semi_exact_splitting"),
+    "split-euclid-1-mass-harmonic": (lambda: _constant_model(
+        "euclidean", 1, [[1.3]], ForceField.harmonic([[1.5]])),
+        "semi_exact_splitting"),
+    "split-euclid-2-mass-zero": (lambda: _constant_model(
+        "euclidean", 2, MASS2, ForceField.zero(2)), "semi_exact_splitting"),
+    "split-torus-1-nonconservative": (lambda: _constant_model(
+        "torus", 1, [[1.0]], _tilted_force(1)), "semi_exact_splitting"),
+    "euler-torus-2-mass-expression": (_two_dim_mass_model, "euler_maruyama"),
+    "euler-euclid-1-mass-harmonic": (lambda: _constant_model(
+        "euclidean", 1, [[1.3]], ForceField.harmonic([[1.5]])),
+        "euler_maruyama"),
+    "euler-euclid-2-zero": (lambda: _constant_model(
+        "euclidean", 2, np.eye(2), ForceField.zero(2)), "euler_maruyama"),
+    "euler-torus-2-nonconservative": (lambda: _constant_model(
+        "torus", 2, MASS2, _tilted_force(2)), "euler_maruyama"),
+    "euler-posdep-torus-1-expression": (_posdep_model, "euler_maruyama"),
+    "euler-posdep-torus-1-nonconservative": (_posdep_tilted_model,
+                                             "euler_maruyama"),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+@pytest.mark.parametrize("replicas, stride", [(1, 3), (3, 1)])
+def test_runs_match_reference_steps_bitwise(case, replicas, stride):
+    # 4100 steps cross the 4096-step chunk boundary
+    make_model, scheme = REFERENCE_CASES[case]
+    model = make_model()
+    n_steps = 4100
+    integ = IntegratorSpec(scheme, dt=0.01, n_steps=n_steps, seed=17,
+                           store_noise=True, stride=stride)
+    start = ExtendedState(q=np.linspace(0.3, 0.6, model.n),
+                          p=np.linspace(0.5, -0.4, model.n),
+                          s=np.full(model.m, -0.2))
+    singles = [simulate(model, integ, start, traj_index=r)
+               for r in range(replicas)]
+    times, qs, ps, ss = reference_extended(
+        model, scheme, integ.dt, n_steps, stride,
+        np.tile(model.domain.reduce(start.q), (replicas, 1)),
+        np.tile(start.p, (replicas, 1)), np.tile(start.s, (replicas, 1)),
+        np.stack([t.noise for t in singles]))
+    if replicas == 1:
+        runs = [(singles[0].times, singles[0].q[None], singles[0].p[None],
+                 singles[0].s[None])]
+        replayed = replay_trajectory(model, singles[0])
+        runs.append((replayed.times, replayed.q[None], replayed.p[None],
+                     replayed.s[None]))
+    else:
+        result = simulate_ensemble(model, integ, start, replicas)
+        runs = [(result.times, result.q, result.p, result.s)]
+    for got in runs:
+        for a, b in zip(got, (times, qs, ps, ss)):
+            assert_same_bytes(a, b)
+
+
 class TestSimulate:
     def test_zero_steps_echo_initial(self):
         model = prony_model()
