@@ -114,11 +114,14 @@ class ForceField:
     forces.  Conservative fields carry the potential and its gradient and are
     checked once at construction: a central finite difference of the
     potential must match the stated gradient to 1e-5 relative at sampled
-    points.
+    points.  The integrators kick a conservative field through its gradient
+    (``-grad U``); ``_grad_columns``, when set, holds one callable per
+    gradient component mapping the ``(R, n)`` batch to an ``(R,)`` column.
     """
 
     def __init__(self, kind, n, force, potential=None, grad_potential=None,
-                 linear_part=None, bounded_part=False, _check=True):
+                 linear_part=None, bounded_part=False, _check=True,
+                 _grad_columns=None):
         if kind not in ("conservative", "nonconservative"):
             raise ValueError(f"unknown force kind {kind!r}")
         self.kind = kind
@@ -126,6 +129,7 @@ class ForceField:
         self._force = force
         self._potential = potential
         self._grad = grad_potential
+        self._grad_columns = _grad_columns
         self.linear_part = None if linear_part is None else _check_spd(
             _as_matrix(linear_part, (n, n), "linear_part"), "linear_part")
         self.bounded_part = bounded_part
@@ -224,7 +228,8 @@ class ForceField:
 
         return cls("conservative", n, force=lambda q: -grad(q),
                    potential=potential, grad_potential=grad,
-                   linear_part=linear_part, bounded_part=bounded_part)
+                   linear_part=linear_part, bounded_part=bounded_part,
+                   _grad_columns=grad_fns)
 
     @classmethod
     def nonconservative(cls, n, force, linear_part=None, bounded_part=False):
@@ -284,12 +289,17 @@ class CoefficientField:
 
     @staticmethod
     def _compile_entries(entries):
+        """(i, j, value, fn) per entry: a number (a literal ``Num`` counts as
+        its float) is assigned directly and zeros are skipped; an expression
+        is compiled."""
         from .expressions import compile_expr
         dim = entries.shape[0]
         fns = []
         for i in range(dim):
             for j in range(dim):
                 entry = entries[i, j]
+                if isinstance(entry, Num):
+                    entry = float(entry.value)
                 if isinstance(entry, float):
                     if entry != 0.0:
                         fns.append((i, j, entry, None))
@@ -381,6 +391,12 @@ class ModelSpec:
         if self.Q is not None:
             q = _check_spd(_as_matrix(self.Q, (self.coeffs.m, self.coeffs.m), "Q"), "Q")
             object.__setattr__(self, "Q", q)
+        mass_inv = np.linalg.inv(mass)
+        mass_inv.flags.writeable = False
+        object.__setattr__(self, "_mass_inv", mass_inv)
+        # operators derived from the model by its consumers, built once
+        # (the integrators keep their per-dt splitting operators here)
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self):
@@ -392,7 +408,8 @@ class ModelSpec:
 
     @property
     def mass_inv(self):
-        return np.linalg.inv(self.mass)
+        """M^-1, computed once at construction (read-only)."""
+        return self._mass_inv
 
 
 def default_grid(domain, points=None):

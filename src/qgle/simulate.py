@@ -7,15 +7,32 @@ map for constant coefficients (so with no force the (p, s) chain is exact
 in law).
 
 Stepping works in place on preallocated buffers with one step body per
-scheme.  The splitting step carries the force of its closing half-kick into
-the opening half-kick of the next step, so it makes one force call per
-step.  The explicit bath's velocity-Verlet loop works the same way on
-(replicas x modes) buffers, carrying both half-kicks between steps, with
-one gradient call per step.  Both loops run through one driver that checks
-finiteness once per chunk of 4096 steps; a chunk that ends non-finite (or
-raised a floating-point error the caller does not ignore) is restored from
-its start and replayed step by step, so a blowup reports the same step
-index and warnings as a per-step check.
+scheme, in the floating-point order of the plain expressions:
+
+    splitting  p += (dt/2) F(q);  q += (dt/2) M^-1 p;
+               (p, s) <- (p, s) expm(-A dt)' + kick;
+               q += (dt/2) M^-1 p;  p += (dt/2) F(q)
+    Euler      q' = q + dt M^-1 p;
+               (p, s)' = (p, s) - dt Gamma(q) (M^-1 p, s) + kick;
+               p' += dt F(q)
+
+with q reduced to the torus after each position update.  The splitting
+step carries the force of its closing half-kick into the opening half-kick
+of the next step, so it makes one force call per step.  A conservative
+force is kicked straight through its gradient, as grad U(q) * (-dt/2) or
+grad U(q) * (-dt) (equal to F(q) times the step up to the sign of an exact
+zero), reaching the compiled gradient columns of an expression potential
+directly.  No ufunc in a step body writes over one of its own operands when
+that operand is a one-element array or a strided view, because numpy's
+overlap check costs about 1 us there: updates go through scratch rows
+instead, and scalar operands are 0-d arrays.  The explicit bath's
+velocity-Verlet loop works the same way on (replicas x modes) buffers,
+carrying both half-kicks between steps, with one gradient call per step.
+Both loops run through one driver that checks finiteness once per chunk of
+4096 steps; a chunk that ends non-finite (or raised a floating-point error
+the caller does not ignore) is restored from its start and replayed step
+by step, so a blowup reports the same step index and warnings as a
+per-step check.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (seed, trajectory index), so ensembles are reproducible and independent of
@@ -193,8 +210,17 @@ class _SplittingCache:
     The (p, s) half solves dz = -Gamma diag(M^-1, I) z dt + beta^-1/2
     Sigma dW exactly: decay factor expm(-A dt), update covariance
     beta^-1 int_0^dt expm(-A u) Sigma Sigma' expm(-A' u) du and its
-    symmetric square root, computed once by ``_ou_step``.
+    symmetric square root, computed by ``_ou_step``.  ``for_model`` builds
+    them once per (model, dt) and keeps them with the model.
     """
+
+    @classmethod
+    def for_model(cls, model, dt):
+        key = (cls, dt)
+        cache = model._derived.get(key)
+        if cache is None:
+            cache = model._derived[key] = cls(model, dt)
+        return cache
 
     def __init__(self, model, dt):
         if not model.coeffs.constant:
@@ -208,6 +234,8 @@ class _SplittingCache:
         d[n:, n:] = np.eye(m)
         self.decay, self.cov, self.factor = _ou_step(
             gamma @ d, sigma @ sigma.T / model.beta, dt)
+        for a in (self.decay, self.cov, self.factor):
+            a.flags.writeable = False
         self.dt = dt
 
 
@@ -360,19 +388,56 @@ def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
     return out
 
 
+def _force_kick(force, q, out, scale):
+    """Return ``kick()``, which writes scale * F(q) into ``out``.
+
+    ``q`` and ``out`` are the caller's (R, n) buffers.  A conservative force
+    is reached through its gradient, as grad U(q) * (-scale), straight from
+    the compiled gradient columns of an expression potential when it has
+    them.  IEEE products are symmetric under sign, so this is F(q) * scale
+    up to the sign of an exact zero, without the force wrappers and the
+    negated force array.  A non-conservative force gives F(q) * scale.
+    """
+    if force._grad_columns is not None:
+        neg = np.array(-scale)
+        columns = [(g, out[:, j]) for j, g in enumerate(force._grad_columns)]
+
+        def kick():
+            for g, column in columns:
+                np.multiply(g(q), neg, out=column)
+    elif force._grad is not None:
+        grad, neg = force._grad, np.array(-scale)
+
+        def kick():
+            np.multiply(grad(q), neg, out=out)
+    else:
+        fn, pos = force._force, np.array(scale)
+
+        def kick():
+            np.multiply(fn(q), pos, out=out)
+    return kick
+
+
 def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     """Advance R replicas n_steps; returns strided arrays (+ full noise).
 
     The state lives in preallocated (R, n) and (R, n+m) buffers that one
     step body per scheme, chosen before the loop, updates in place in the
-    floating-point order of the plain expressions.  Each chunk's noise is
-    drawn and pre-transformed in bulk.  The splitting body carries
-    half * F(q) from the closing half-kick of one step into the opening
-    half-kick of the next, so each step makes one force call.
+    floating-point order of the plain expressions (see ``_force_kick`` for
+    the force).  Each chunk's noise is drawn and pre-transformed in bulk.
+    The splitting body carries half * F(q) from the closing half-kick of one
+    step into the opening half-kick of the next, so each step makes one
+    force call.
 
-    The steps run through ``_step_chunks``, which checks finiteness of z
-    once per chunk of 4096 steps and replays a faulty chunk step by step.
-    ``replay`` injects stored increments instead of drawing from the
+    Under the module's no-self-overlap rule a position update goes through
+    the scratch row ``qt``, the splitting body keeps the momentum in the
+    contiguous ``pc`` and writes each half-kick across between ``pc`` and
+    the momentum block of z, and the Euler body writes its momentum kick
+    through ``pt``.
+
+    The steps run through ``_step_chunks``, which checks finiteness of the
+    state once per chunk of 4096 steps and replays a faulty chunk step by
+    step.  ``replay`` injects stored increments instead of drawing from the
     streams (bit-exact regeneration).
     """
     n, m = model.n, model.m
@@ -383,75 +448,84 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     splitting = integ.scheme == "semi_exact_splitting"
     minv = model.mass_inv
     minv_t = None if np.array_equal(minv, np.eye(n)) else minv.T
-    force_fn = model.force._force
     coeffs = model.coeffs
     sqrt_kick = np.sqrt(dt / model.beta)
-    half = 0.5 * dt
+    half, step_dt, one = np.array(0.5 * dt), np.array(dt), np.array(1.0)
 
     n_out = n_steps // stride + 1
     qs = np.empty((R, n_out, n))
-    zs = np.empty((R, n_out, dim))
+    ps = np.empty((R, n_out, n))
+    ss = np.empty((R, n_out, m))
     q = np.array(q, dtype=float)
     z = np.concatenate([p, s], axis=1)
-    qs[:, 0], zs[:, 0] = q, z
     noise = np.empty((R, n_steps, dim)) if collect_noise else None
 
     zp = z[:, :n]              # momentum block of the state buffer
+    zs = z[:, n:]              # auxiliary block
+    vel = zp if minv_t is None else np.empty((R, n))  # M^-1 p
     dq = np.empty((R, n))      # position increment
-    state = [q, z]             # buffers a replayed chunk restores
+    qt = np.empty((R, n))      # q + dq, before its reduction to the torus
     xi = kicks = None          # the current chunk's noise
 
+    def move():
+        """q <- q + dq, reduced to the torus."""
+        np.add(q, dq, out=qt)
+        if torus:
+            np.mod(qt, one, out=q)
+        else:
+            q[...] = qt
+
     if splitting:
-        cache = _SplittingCache(model, dt)
+        cache = _SplittingCache.for_model(model, dt)
         decay_t = cache.decay.T
         zb = np.empty((R, dim))
+        pc = zp.copy()         # momentum after the closing half-kick
         hf = np.empty((R, n))  # half * F(q), carried between steps
-        state.append(hf)
+        p_now = pc
+        state = [q, z, pc, hf]  # buffers a replayed chunk restores
+        force_kick = _force_kick(model.force, q, hf, 0.5 * dt)
         if n_steps:
-            np.multiply(force_fn(q), half, out=hf)
-
-        def half_drift():
-            """q <- q + (dt/2) M^-1 p, reduced to the torus."""
-            if minv_t is None:
-                np.multiply(zp, half, out=dq)
-            else:
-                np.matmul(zp, minv_t, out=dq)
-                np.multiply(dq, half, out=dq)
-            np.add(q, dq, out=q)
-            if torus:
-                np.mod(q, 1.0, out=q)
+            force_kick()
 
         def body(k):
-            np.add(zp, hf, out=zp)
-            half_drift()
-            np.matmul(z, decay_t, out=zb)
+            np.add(pc, hf, out=zp)              # opening half-kick
+            if minv_t is not None:
+                np.matmul(zp, minv_t, out=vel)
+            np.multiply(vel, half, out=dq)
+            move()
+            np.matmul(z, decay_t, out=zb)       # exact OU map of (p, s)
             np.add(zb, kicks[:, k], out=z)
-            half_drift()
-            np.multiply(force_fn(q), half, out=hf)
-            np.add(zp, hf, out=zp)
+            if minv_t is not None:
+                np.matmul(zp, minv_t, out=vel)
+            np.multiply(vel, half, out=dq)
+            move()
+            force_kick()
+            np.add(zp, hf, out=pc)              # closing half-kick
     else:
+        p_now = zp
+        state = [q, z]
         zh = z if minv_t is None else np.empty((R, dim))  # (M^-1 p, s)
-        vel = zh[:, :n]
         drift = np.empty((R, dim))
         fdt = np.empty((R, n))
+        pt = np.empty((R, n))
+        force_kick = _force_kick(model.force, q, fdt, dt)
 
         def euler_update(kick):
             """Position drift and (p, s) update from the pre-step state."""
-            np.multiply(force_fn(q), dt, out=fdt)
-            np.multiply(vel, dt, out=dq)
-            np.add(q, dq, out=q)
-            if torus:
-                np.mod(q, 1.0, out=q)
-            np.multiply(drift, dt, out=drift)
+            force_kick()
+            np.multiply(vel, step_dt, out=dq)
+            move()
+            np.multiply(drift, step_dt, out=drift)
             np.subtract(z, drift, out=z)
             np.add(z, kick, out=z)
-            np.add(zp, fdt, out=zp)
+            np.add(zp, fdt, out=pt)
+            zp[...] = pt
 
         def velocity():
             if minv_t is not None:
-                np.matmul(zp, minv_t, out=dq)
-                vel[...] = dq
-                zh[:, n:] = z[:, n:]
+                np.matmul(zp, minv_t, out=vel)
+                zh[:, :n] = vel
+                zh[:, n:] = zs
 
         if coeffs.constant:
             gamma_t = np.ascontiguousarray(coeffs.gamma().T)
@@ -463,12 +537,13 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
                 euler_update(kicks[:, k])
         else:
             kick = np.empty((R, dim))
+            sqrt_kick0 = np.array(sqrt_kick)
 
             def body(k):
                 velocity()
                 np.einsum("rij,rj->ri", coeffs.gamma(q), zh, out=drift)
                 np.einsum("rij,rj->ri", coeffs.sigma(q), xi[:, k], out=kick)
-                np.multiply(kick, sqrt_kick, out=kick)
+                np.multiply(kick, sqrt_kick0, out=kick)
                 euler_update(kick)
 
     def begin(step, take):
@@ -486,12 +561,15 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
             kicks = sqrt_kick * (xi @ sigma_t)
 
     def store(out):
-        qs[:, out], zs[:, out] = q, z
+        qs[:, out], ps[:, out], ss[:, out] = q, p_now, zs
 
-    out = _step_chunks(n_steps, stride, state, body,
-                       lambda: np.isfinite(z).all(), store, begin)
+    store(0)
+    out = _step_chunks(
+        n_steps, stride, state, body,
+        lambda: np.isfinite(z).all() and np.isfinite(p_now).all(), store,
+        begin)
     times = np.arange(out) * (dt * stride)
-    return times, qs[:, :out], zs[:, :out, :n], zs[:, :out, n:], \
+    return times, qs[:, :out], ps[:, :out], ss[:, :out], \
         (noise if collect_noise else None)
 
 
@@ -695,13 +773,6 @@ class FordKacTrajectory:
     meta: dict = field(default_factory=dict)
 
 
-def _fk_energy(u, q, p, bq, bp, k, mass):
-    coupling = 0.5 * np.sum(k * (bq - q[..., None]) ** 2, axis=-1)
-    kinetic_bath = (0.5 * np.sum(bp**2 / mass, axis=-1)
-                    if bq.shape[-1] else np.zeros_like(q))
-    return 0.5 * p**2 + u(q) + kinetic_bath + coupling
-
-
 def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
                  n_replicas=1, energy=True):
     """Velocity-Verlet on the full Hamiltonian, batched over replicas.
@@ -715,10 +786,15 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
     so the path is the same bit for bit.  The half-kicks of a step's closing
     half are carried into the opening half of the next step, so each step
     calls the potential's gradient once.  Stiffness and bath-mass rows are
-    copied to full (R, nb) arrays once, so no loop operand is broadcast.
+    copied to full (R, nb) arrays once, so no loop operand is broadcast.  As
+    in ``_run_batch``, no ufunc writes over its own (R,) operand: the
+    mid-step momentum has its own buffer and q + dq goes through ``qt``.
     The steps run through ``_step_chunks``: finiteness of (q, p) is checked
     once per 4096-step chunk and a faulty chunk is replayed step by step.
-    With ``energy`` false the total energies are not computed (None).
+    The stored total energies p^2/2 + U(q) + sum b_p^2/(2 m_b)
+    + sum k (b_q - q)^2/2 are summed in that order from (R, nb) rows
+    computed in the scratch buffer; with ``energy`` false they are not
+    computed (None).
     """
     if force is None:
         grad = None
@@ -746,24 +822,40 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
         bq = np.zeros((R, 0))
         bp = np.zeros((R, 0))
 
+    half, step_dt = np.array(0.5 * dt), np.array(dt)
+    stiff = np.tile(k, (R, 1))
+    bmass = np.tile(mass, (R, 1))
+    q_col = q[:, None]            # (R, 1) view: the gradient's batch layout
+    work = np.empty((R, nb))      # dt b_p / m_b, then k (b_q - q)
+    hs = np.empty((R, nb))        # (dt/2) k (b_q - q), carried between steps
+    total = np.empty(R)           # sum_j k_j (b_q,j - q)
+    total_col = total[:, None]
+    fq = total if grad is None else np.empty(R)  # total - U'(q)
+    fq_col = fq[:, None]
+    hf = np.empty(R)              # (dt/2) F, carried between steps
+    pm = np.empty(R)              # momentum after the opening half-kick
+    dq = np.empty(R)
+    qt = np.empty(R)
+
+    def total_energy():
+        """Total energies of the current state, through ``work``."""
+        np.copyto(work, q_col)
+        np.subtract(bq, work, out=work)
+        np.square(work, out=work)
+        np.multiply(stiff, work, out=work)
+        coupling = 0.5 * np.sum(work, axis=1)
+        np.square(bp, out=work)
+        np.divide(work, bmass, out=work)
+        kinetic_bath = 0.5 * np.sum(work, axis=1)
+        return 0.5 * p**2 + u(q) + kinetic_bath + coupling
+
     n_out = n_steps // stride + 1
     qs = np.empty((R, n_out))
     ps = np.empty((R, n_out))
     es = np.empty((R, n_out)) if energy else None
     qs[:, 0], ps[:, 0] = q, p
     if energy:
-        es[:, 0] = _fk_energy(u, q, p, bq, bp, k, mass)
-
-    half = 0.5 * dt
-    stiff = np.tile(k, (R, 1))
-    bmass = np.tile(mass, (R, 1))
-    q_col = q[:, None]            # (R, 1) view: the gradient's batch layout
-    work = np.empty((R, nb))      # dt b_p / m_b, then k (b_q - q)
-    hs = np.empty((R, nb))        # (dt/2) k (b_q - q), carried between steps
-    total = np.empty(R)           # sum_j k_j (b_q,j - q) - U'(q)
-    total_col = total[:, None]
-    hf = np.empty(R)              # (dt/2) F, carried between steps
-    dq = np.empty(R)
+        es[:, 0] = total_energy()
 
     def half_kicks():
         """hf <- (dt/2) F(q, b_q) and hs <- (dt/2) k (b_q - q)."""
@@ -773,25 +865,26 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
         np.sum(work, axis=1, out=total)
         np.multiply(work, half, out=hs)
         if grad is not None:
-            np.subtract(total_col, grad(q_col), out=total_col)
-        np.multiply(total, half, out=hf)
+            np.subtract(total_col, grad(q_col), out=fq_col)
+        np.multiply(fq, half, out=hf)
 
     def body(_):
-        np.add(p, hf, out=p)
+        np.add(p, hf, out=pm)
         np.subtract(bp, hs, out=bp)
-        np.multiply(p, dt, out=dq)
-        np.add(q, dq, out=q)
-        np.multiply(bp, dt, out=work)
+        np.multiply(pm, step_dt, out=dq)
+        np.add(q, dq, out=qt)
+        q[...] = qt
+        np.multiply(bp, step_dt, out=work)
         np.divide(work, bmass, out=work)
         np.add(bq, work, out=bq)
         half_kicks()
-        np.add(p, hf, out=p)
+        np.add(pm, hf, out=p)
         np.subtract(bp, hs, out=bp)
 
     def store(out):
         qs[:, out], ps[:, out] = q, p
         if energy:
-            es[:, out] = _fk_energy(u, q, p, bq, bp, k, mass)
+            es[:, out] = total_energy()
 
     half_kicks()
     out = _step_chunks(n_steps, stride, [q, p, bq, bp, hf, hs], body,

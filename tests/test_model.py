@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgle.errors import InconsistentError, NonConservativeError, NoSolutionError
+from qgle.expressions import Num, compile_expr
 from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     NOT_APPLICABLE,
@@ -229,3 +230,35 @@ def test_gradient_consistency_enforced():
 def test_extended_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         ExtendedState(q=[np.nan], p=[0.0], s=[0.0])
+
+
+def test_literal_entries_evaluate_like_compiled_expressions():
+    # "0", "1" and "1.414..." parse to Num: they are assigned as constants
+    # (zeros skipped) instead of filled per call, with the bits of compiling
+    # every entry
+    coeffs = CoefficientField(1, 1, gamma_entries=EXAMPLE_GAMMA_ENTRIES,
+                              sigma_entries=EXAMPLE_SIGMA_ENTRIES)
+    grid = np.random.default_rng(3).random((37, 1))
+    for field, entries, fns in (
+            (coeffs.gamma, coeffs._gamma_entries, coeffs._gamma_fns),
+            (coeffs.sigma, coeffs._sigma_entries, coeffs._sigma_fns)):
+        assert all(fn is None for i, j, _, fn in fns
+                   if isinstance(entries[i, j], Num))
+        want = np.empty((37, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                want[:, i, j] = compile_expr(entries[i, j])(grid)
+        assert field(grid).tobytes() == want.tobytes()
+        assert field(grid[5]).tobytes() == want[5].tobytes()
+
+
+def test_mass_inverse_is_computed_once_and_read_only():
+    model = ModelSpec(domain=Domain("torus", 2),
+                      mass=[[2.0, 0.3], [0.3, 1.5]], beta=1.0,
+                      force=ForceField.zero(2),
+                      coeffs=CoefficientField(2, 2, gamma=np.eye(4),
+                                              sigma=np.eye(4) * 2 ** 0.5))
+    assert model.mass_inv is model.mass_inv
+    assert np.array_equal(model.mass_inv, np.linalg.inv(model.mass))
+    with pytest.raises(ValueError):
+        model.mass_inv[0, 0] = 1.0

@@ -887,6 +887,21 @@ def test_fingerprint_distinguishes_models():
     assert model_fingerprint(a) == model_fingerprint(prony_model(modes=((1.0, 1.0),)))
 
 
+def test_position_dependent_fingerprint_is_stable():
+    # the digest covers the parsed coefficient entries, not how they are
+    # evaluated: literal entries compiled to constants leave it as it was
+    assert model_fingerprint(_posdep_model()) == "d56528ae40dc07a3"
+
+
+def test_splitting_operators_are_built_once_per_dt():
+    model = prony_model()
+    ops = _SplittingCache.for_model(model, 0.01)
+    assert _SplittingCache.for_model(model, 0.01) is ops
+    assert _SplittingCache.for_model(model, 0.02) is not ops
+    assert _SplittingCache.for_model(prony_model(), 0.01) is not ops
+    assert not ops.decay.flags.writeable and not ops.factor.flags.writeable
+
+
 def test_velocity_autocorrelation_shape():
     paths = np.random.default_rng(0).standard_normal((4, 100))
     corr = velocity_autocorrelation(paths, 10)
