@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``check`` (certificate table), ``simulate`` (trajectory CSV +
-optional binary noise sidecar), ``fordkac`` (explicit-bath run), ``analyze``
-(JSON diagnostics report) and ``figure-eigs`` (eigenvalue curves of the
-position-dependent certificate matrix over the torus).
+optional binary noise sidecar), ``fordkac`` (explicit-bath run of the 1-d
+conservative ``model.force``), ``analyze`` (JSON diagnostics report) and
+``figure-eigs`` (eigenvalue curves of the position-dependent certificate
+matrix over the torus).
 
 Exit codes: 0 success, 1 certificate/analysis failure, 2 usage error,
 3 runtime failure.  With ``--format json`` failures also emit a
@@ -13,6 +14,7 @@ machine-readable error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +34,7 @@ from .ergodicity import (
 from .kernels import MemoryKernel, kernel_eval
 from .model import (
     NOT_APPLICABLE,
+    ExtendedState,
     default_grid,
     purecolor_check,
     solve_fdt_Q,
@@ -40,7 +43,6 @@ from .model import (
 )
 from .simulate import (
     GibbsInit,
-    IntegratorSpec,
     _write_csv,
     fordkac_simulate,
     simulate,
@@ -87,11 +89,19 @@ def _integrator(config, args):
     if integ is None:
         raise QgleError("config has no integrator section")
     if args.seed is not None:
-        integ = IntegratorSpec(scheme=integ.scheme, dt=integ.dt,
-                               n_steps=integ.n_steps, seed=args.seed,
-                               store_noise=integ.store_noise,
-                               stride=integ.stride)
+        integ = dataclasses.replace(integ, seed=args.seed)
     return integ
+
+
+def _start_state(model):
+    """Start of ``simulate`` and ``analyze``: the Gibbs measure when the model
+    has one (q sampled on the torus, q = 0 on euclidean domains), else the
+    origin of the extended phase space."""
+    if model.force.is_conservative and model.Q is not None:
+        return GibbsInit() if model.domain.is_torus else GibbsInit(
+            q0=np.zeros(model.n))
+    return ExtendedState(q=np.zeros(model.n), p=np.zeros(model.n),
+                         s=np.zeros(model.m))
 
 
 def _grid_for(config):
@@ -127,10 +137,8 @@ def _certificates(config):
 
     if coeffs.constant:
         for mode in ("ii", "iii"):
-            cert = hormander_const_check(coeffs, mode)
-            certs.append(Certificate(
-                kind=f"hormander_{mode}", satisfied=cert.satisfied,
-                margin=cert.margin, witness=cert.witness, notes=cert.notes))
+            certs.append(dataclasses.replace(hormander_const_check(coeffs, mode),
+                                             kind=f"hormander_{mode}"))
         if margin > 0:
             lyap = lyapunov_matrix_const(coeffs.gamma())
             certs.append(Certificate(
@@ -163,8 +171,11 @@ def _cert_json(cert):
 
 def _cmd_check(args):
     config = load_config(args.config)
+    if args.kernel_csv and not config.model.coeffs.constant:
+        raise QgleError("--kernel-csv needs constant coefficients: "
+                        "position-dependent ones have no single kernel K(t)")
     certs = _certificates(config)
-    if args.kernel_csv and config.model.coeffs.constant:
+    if args.kernel_csv:
         kernel = MemoryKernel.from_coeffs(config.model.coeffs)
         ts = np.linspace(0.0, 10.0, 201)
         values = [kernel_eval(kernel, float(t))[0, 0] for t in ts]
@@ -181,15 +192,7 @@ def _cmd_check(args):
 def _cmd_simulate(args):
     config = load_config(args.config)
     integ = _integrator(config, args)
-    model = config.model
-    initial = GibbsInit() if (model.force.is_conservative and model.Q is not None
-                              and model.domain.is_torus) else GibbsInit(
-        q0=np.zeros(model.n))
-    if not (model.force.is_conservative and model.Q is not None):
-        from .model import ExtendedState
-        initial = ExtendedState(q=np.zeros(model.n), p=np.zeros(model.n),
-                                s=np.zeros(model.m))
-    traj = simulate(model, integ, initial)
+    traj = simulate(config.model, integ, _start_state(config.model))
     csv_path = _out_path(args, config, "trajectory.csv", "trajectory_csv")
     trajectory_to_csv(traj, csv_path)
     written = {"trajectory_csv": csv_path}
@@ -212,6 +215,12 @@ def _cmd_fordkac(args):
     section = config.fordkac
     if not section:
         raise QgleError("config has no fordkac section")
+    model = config.model
+    if model.n != 1:
+        raise QgleError(f"fordkac needs a 1-d model, got dimension {model.n}")
+    if not model.force.is_conservative:
+        raise QgleError("fordkac needs a conservative model.force: the bath "
+                        "run integrates a Hamiltonian")
     from .kernels import FordKacSpectrum, fordkac_spectrum_for_exponential
     spec_sec = section["spectrum"]
     if spec_sec.get("kind") == "exponential":
@@ -222,14 +231,10 @@ def _cmd_fordkac(args):
         spectrum = FordKacSpectrum(tuple((k, w) for k, w in spec_sec["modes"]))
     else:
         raise QgleError("fordkac.spectrum.kind must be 'exponential' or 'modes'")
-    force = None
-    if section.get("potential") is not None:
-        from .model import ForceField
-        force = ForceField.from_potential_expr(section["potential"], 1)
     seed = args.seed if args.seed is not None else (
         config.integrator.seed if config.integrator else 0)
     dt = float(section.get("dt", config.integrator.dt if config.integrator else 1e-3))
-    traj = fordkac_simulate(force, spectrum, config.model.beta, dt,
+    traj = fordkac_simulate(model.force, spectrum, model.beta, dt,
                             float(section["T"]), seed,
                             q0=float(section.get("q0", 0.0)),
                             p0=float(section.get("p0", 0.0)),
@@ -251,7 +256,6 @@ def _cmd_fordkac(args):
 def _rate_fit_report(config, integ, model, observable, replicas):
     """Relaxation-rate fit of an ensemble restarted from a displaced point."""
     from .errors import NoSignalError
-    from .model import ExtendedState
     from .simulate import simulate_ensemble
     from .stats import geometric_rate_fit, gibbs_quadrature_mean
 
@@ -287,12 +291,7 @@ def _cmd_analyze(args):
                        "n_steps": integ.n_steps, "scheme": integ.scheme},
         "certificates": [_cert_json(c) for c in certs],
     }
-    can_gibbs = model.force.is_conservative and model.Q is not None
-    initial = GibbsInit() if can_gibbs and model.domain.is_torus else None
-    if initial is None:
-        from .model import ExtendedState
-        initial = ExtendedState(q=np.zeros(model.n), p=np.zeros(model.n),
-                                s=np.zeros(model.m))
+    initial = _start_state(model)
     traj = simulate(model, integ, initial)
     burn_in = float(config.analysis.get("burn_in", 0.1))
     observable = None
@@ -306,7 +305,7 @@ def _cmd_analyze(args):
         def observable(q, _fn=fn):
             return np.broadcast_to(np.asarray(_fn(q), dtype=float),
                                    (q.shape[0],))
-    if can_gibbs:
+    if isinstance(initial, GibbsInit):
         moments = gibbs_moment_test(traj, model, observable=observable,
                                     burn_in=burn_in)
         report["moments"] = {

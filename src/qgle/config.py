@@ -1,12 +1,17 @@
 """JSON run configuration: parsing, validation, model building.
 
 The format has five sections (model / coefficients / integrator / analysis /
-output) plus an optional ``fordkac`` section for the explicit-bath runner.
+output) plus an optional ``fordkac`` section for the explicit-bath runner,
+which integrates the particle under ``model.force``.
 Matrices are row-major JSON arrays; coefficient matrices may instead name a
 builder (prony modes, the constructed torus example, a non-equilibrium
 block stack); position-dependent entries are expression strings from the
-closed family.  Unknown keys anywhere are hard errors, duplicate keys are
-rejected at parse time, and syntax errors carry line/column positions.
+closed family.  Every accepted key is read by this parser or by the CLI:
+``analysis`` holds the statistics and grid settings, ``output`` the output
+directory and file names.  The output format and the kernel export are
+CLI flags only (``--format``, ``--kernel-csv``).  Unknown keys anywhere are
+hard errors, duplicate keys are rejected at parse time, and syntax errors
+carry line/column positions.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ class Config:
     analysis: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     fordkac: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
     lyapunov_C: Optional[np.ndarray] = None
 
 
@@ -112,26 +116,22 @@ def _build_force(section, n, torus, path):
     kind = section.get("kind")
     linear = section.get("linear_part")
     linear = None if linear is None else _matrix(linear, path + ("linear_part",), (n, n))
-    bounded = bool(section.get("bounded_part", False))
     if kind == "zero":
-        _expect_keys(section, ("kind",), ("linear_part", "bounded_part"), path)
+        _expect_keys(section, ("kind",), ("linear_part",), path)
         return ForceField.zero(n)
     if kind == "conservative":
-        _expect_keys(section, ("kind", "potential"),
-                     ("linear_part", "bounded_part"), path)
+        _expect_keys(section, ("kind", "potential"), ("linear_part",), path)
         try:
             tree = parse_expr(section["potential"])
             validate_expr(tree, n, torus)
         except ValueError as err:
             raise ConfigError(str(err), path + ("potential",)) from None
-        return ForceField.from_potential_expr(tree, n, linear_part=linear,
-                                              bounded_part=bounded)
+        return ForceField.from_potential_expr(tree, n, linear_part=linear)
     if kind == "harmonic":
-        _expect_keys(section, ("kind", "stiffness"), ("bounded_part",), path)
+        _expect_keys(section, ("kind", "stiffness"), (), path)
         return ForceField.harmonic(_matrix(section["stiffness"], path + ("stiffness",), (n, n)))
     if kind == "nonconservative":
-        _expect_keys(section, ("kind", "components"),
-                     ("linear_part", "bounded_part"), path)
+        _expect_keys(section, ("kind", "components"), ("linear_part",), path)
         comps = section["components"]
         if len(comps) != n:
             raise ConfigError(f"need {n} force components", path + ("components",))
@@ -150,8 +150,7 @@ def _build_force(section, n, torus, path):
             return np.stack([np.broadcast_to(fn(q), (q.shape[0],))
                              for fn in fns], axis=-1)
 
-        return ForceField.nonconservative(n, force, linear_part=linear,
-                                          bounded_part=bounded)
+        return ForceField.nonconservative(n, force, linear_part=linear)
     raise ConfigError(f"unknown force kind {kind!r}", path + ("kind",))
 
 
@@ -270,12 +269,11 @@ def _build_coefficients(section, n, torus, path):
     raise ConfigError(f"unknown coefficients kind {kind!r}", path + ("kind",))
 
 
-_ANALYSIS_KEYS = ("burn_in", "n_batches", "max_lag", "observable",
-                  "grid_points", "lyapunov_C", "sigma_method", "lags",
-                  "hbar", "growth_E", "rate_replicas", "rate_mu")
-_OUTPUT_KEYS = ("directory", "format", "trajectory_csv", "noise_sidecar",
-                "kernel_csv", "report_json", "figure_csv")
-_FORDKAC_KEYS = ("spectrum", "T", "dt", "q0", "p0", "stride", "potential")
+_ANALYSIS_KEYS = ("burn_in", "n_batches", "observable", "grid_points",
+                  "lyapunov_C", "sigma_method", "rate_replicas", "rate_mu")
+_OUTPUT_KEYS = ("directory", "trajectory_csv", "noise_sidecar",
+                "report_json", "figure_csv")
+_FORDKAC_KEYS = ("spectrum", "T", "dt", "q0", "p0", "stride")
 
 
 def parse_config(text):
@@ -343,7 +341,7 @@ def parse_config(text):
     lyap_c = (default_c if lyap_c is None
               else _matrix(lyap_c, ("analysis", "lyapunov_C"), (dim, dim)))
     return Config(model=model, integrator=integ, analysis=dict(analysis),
-                  output=dict(output), fordkac=dict(fordkac), raw=raw,
+                  output=dict(output), fordkac=dict(fordkac),
                   lyapunov_C=lyap_c)
 
 

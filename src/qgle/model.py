@@ -117,11 +117,13 @@ class ForceField:
     points.  The integrators kick a conservative field through its gradient
     (``-grad U``); ``_grad_columns``, when set, holds one callable per
     gradient component mapping the ``(R, n)`` batch to an ``(R,)`` column.
+    ``linear_part``, when given, is the SPD stiffness H of a harmonic part
+    q' H q / 2 of the potential; the Ford-Kac ensembles draw their start
+    positions from its Gibbs marginal.
     """
 
     def __init__(self, kind, n, force, potential=None, grad_potential=None,
-                 linear_part=None, bounded_part=False, _check=True,
-                 _grad_columns=None):
+                 linear_part=None, _check=True, _grad_columns=None):
         if kind not in ("conservative", "nonconservative"):
             raise ValueError(f"unknown force kind {kind!r}")
         self.kind = kind
@@ -132,7 +134,6 @@ class ForceField:
         self._grad_columns = _grad_columns
         self.linear_part = None if linear_part is None else _check_spd(
             _as_matrix(linear_part, (n, n), "linear_part"), "linear_part")
-        self.bounded_part = bounded_part
         if kind == "conservative":
             if potential is None or grad_potential is None:
                 raise ValueError("conservative forces need potential and gradient")
@@ -186,12 +187,11 @@ class ForceField:
                    _check=False)
 
     @classmethod
-    def conservative(cls, n, potential, grad_potential, linear_part=None,
-                     bounded_part=False):
+    def conservative(cls, n, potential, grad_potential, linear_part=None):
         return cls("conservative", n,
                    force=lambda q: -np.asarray(grad_potential(q), dtype=float),
                    potential=potential, grad_potential=grad_potential,
-                   linear_part=linear_part, bounded_part=bounded_part)
+                   linear_part=linear_part)
 
     @classmethod
     def harmonic(cls, stiffness):
@@ -202,10 +202,10 @@ class ForceField:
                    force=lambda q: -q @ h.T,
                    potential=lambda q: 0.5 * np.einsum("ri,ij,rj->r", q, h, q),
                    grad_potential=lambda q: q @ h.T,
-                   linear_part=h, bounded_part=False, _check=False)
+                   linear_part=h, _check=False)
 
     @classmethod
-    def from_potential_expr(cls, expr, n, linear_part=None, bounded_part=False):
+    def from_potential_expr(cls, expr, n, linear_part=None):
         """Conservative force from a potential in the closed expression family.
 
         The gradient is the symbolic derivative of the tree (the family is
@@ -228,13 +228,11 @@ class ForceField:
 
         return cls("conservative", n, force=lambda q: -grad(q),
                    potential=potential, grad_potential=grad,
-                   linear_part=linear_part, bounded_part=bounded_part,
-                   _grad_columns=grad_fns)
+                   linear_part=linear_part, _grad_columns=grad_fns)
 
     @classmethod
-    def nonconservative(cls, n, force, linear_part=None, bounded_part=False):
-        return cls("nonconservative", n, force=force,
-                   linear_part=linear_part, bounded_part=bounded_part)
+    def nonconservative(cls, n, force, linear_part=None):
+        return cls("nonconservative", n, force=force, linear_part=linear_part)
 
 
 class CoefficientField:
@@ -541,8 +539,6 @@ def stability_margin(coeffs, grid=None):
     Gamma(q); positive return certifies -Gamma(q) stable on the grid."""
     grid = _grid_array(coeffs, grid)
     g = coeffs.gamma(grid)
-    if g.ndim == 2:
-        g = g[None]
     try:
         eigs = np.linalg.eigvals(g)
     except np.linalg.LinAlgError as err:

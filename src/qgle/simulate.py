@@ -924,16 +924,23 @@ def fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
                              stride=stride, q0_sampler=q0_sampler, energy=True)
 
 
+def _harmonic_q0(force, beta, rng, shape):
+    """Start positions from the Gibbs marginal N(0, 1/(beta H)) of the
+    force's harmonic part H (its first diagonal entry), else zeros; draws
+    nothing from ``rng`` in the zero case."""
+    if force is None or force.linear_part is None:
+        return np.zeros(shape)
+    h = float(force.linear_part[0, 0])
+    return rng.standard_normal(shape) / np.sqrt(beta * h)
+
+
 def _fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas, stride,
                       q0_sampler, energy):
     rng = _philox(seed, 0, purpose=3)
     if q0_sampler is not None:
         q0 = q0_sampler(rng, n_replicas)
-    elif force is not None and force.linear_part is not None:
-        h = float(force.linear_part[0, 0])
-        q0 = rng.standard_normal(n_replicas) / np.sqrt(beta * h)
     else:
-        q0 = np.zeros(n_replicas)
+        q0 = _harmonic_q0(force, beta, rng, n_replicas)
     p0 = rng.standard_normal(n_replicas) / np.sqrt(beta)
     n_steps = int(round(T / dt))
     bath_rng = _philox(seed, 1, purpose=2)
@@ -1007,11 +1014,7 @@ def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
                            n_steps=int(round(t_sim / dt)), seed=seed,
                            stride=stride)
     init_rng = _philox(seed, 10_000, purpose=4)
-    if gle_force.linear_part is not None:
-        h = float(gle_force.linear_part[0, 0])
-        q0 = init_rng.standard_normal((n_ensemble, 1)) / np.sqrt(beta * h)
-    else:
-        q0 = np.zeros((n_ensemble, 1))
+    q0 = _harmonic_q0(gle_force, beta, init_rng, (n_ensemble, 1))
     p0 = init_rng.standard_normal((n_ensemble, 1)) / np.sqrt(beta)
     s0 = init_rng.standard_normal((n_ensemble, coeffs.m)) @ \
         np.linalg.cholesky(q_aux / beta).T

@@ -51,6 +51,45 @@ class TestParseConfig:
             parse_config(json.dumps(raw))
         assert "tempereture" in str(err.value)
 
+    @pytest.mark.parametrize("path, value", [
+        (("analysis", "max_lag"), 100),
+        (("analysis", "lags"), [0, 1]),
+        (("analysis", "hbar"), 1.0),
+        (("analysis", "growth_E"), 1.0),
+        (("output", "format"), "csv"),
+        (("output", "kernel_csv"), "kernel.csv"),
+        (("fordkac", "potential"), "q1*q1/2"),
+        (("model", "force", "bounded_part"), True),
+    ])
+    def test_keys_no_code_reads_are_rejected(self, path, value):
+        name = "fordkac.json" if path[0] == "fordkac" else "prony.json"
+        with open(config_path(name)) as handle:
+            raw = json.load(handle)
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.path == path[:-1]
+        assert str(err.value).startswith(".".join(path[:-1]) + ": ")
+        assert repr(path[-1]) in str(err.value)
+
+    def test_every_accepted_section_key_is_read(self):
+        # an accepted analysis/output/fordkac key must be looked up by the
+        # parser or the CLI, or it is a setting that changes no result
+        import inspect
+
+        import qgle.cli
+        import qgle.config
+
+        sources = (inspect.getsource(qgle.cli)
+                   + inspect.getsource(qgle.config.parse_config))
+        keys = (qgle.config._ANALYSIS_KEYS + qgle.config._OUTPUT_KEYS
+                + qgle.config._FORDKAC_KEYS)
+        unread = [key for key in keys if f'"{key}"' not in sources]
+        assert unread == []
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError) as err:
             parse_config('{"model": }')
@@ -267,6 +306,76 @@ class TestDispatch:
         assert len(traj.times) == 10001
         assert (tmp_path / "fordkac.csv").read_bytes() == expected.encode()
 
+    def test_fordkac_integrates_the_model_force(self, tmp_path, monkeypatch):
+        import qgle.cli as cli
+
+        loaded, forces = [], []
+        load, simulate_bath = cli.load_config, cli.fordkac_simulate
+
+        def recording_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def recording_simulate(force, *args, **kwargs):
+            forces.append(force)
+            return simulate_bath(force, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_config", recording_load)
+        monkeypatch.setattr(cli, "fordkac_simulate", recording_simulate)
+        assert dispatch(["fordkac", "--config", config_path("fordkac.json"),
+                         "--out", str(tmp_path)]) == 0
+        assert forces == [loaded[0].model.force]
+
+    @pytest.mark.parametrize("model, reason", [
+        ({"domain": {"kind": "euclidean", "dim": 2},
+          "force": {"kind": "harmonic", "stiffness": [[1.0, 0.0], [0.0, 1.0]]}},
+         "1-d model"),
+        ({"domain": {"kind": "euclidean", "dim": 1},
+          "force": {"kind": "nonconservative", "components": ["0-q1"]}},
+         "conservative model.force"),
+    ])
+    def test_fordkac_rejects_models_without_a_1d_hamiltonian(
+            self, tmp_path, capsys, model, reason):
+        with open(config_path("fordkac.json")) as handle:
+            raw = json.load(handle)
+        raw["model"] = model
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert dispatch(["fordkac", "--config", str(path),
+                         "--out", str(tmp_path)]) == 3
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "fordkac.csv").exists()
+
+    @pytest.mark.parametrize("domain", ["torus", "euclidean"])
+    def test_simulate_and_analyze_share_the_start(self, tmp_path,
+                                                  monkeypatch, domain):
+        import qgle.cli as cli
+
+        raw = json.loads(golden_text())
+        if domain == "euclidean":
+            raw["model"]["domain"]["kind"] = "euclidean"
+            raw["model"]["force"] = {"kind": "harmonic", "stiffness": [[1.0]]}
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(raw))
+        starts = []
+        simulate_model = cli.simulate
+
+        def recording_simulate(model, integ, initial):
+            starts.append(initial)
+            return simulate_model(model, integ, initial)
+
+        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        for command in ("simulate", "analyze"):
+            assert dispatch([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+        assert len(starts) == 2
+        assert all(isinstance(start, cli.GibbsInit) for start in starts)
+        if domain == "torus":
+            assert starts[0].q0 is None and starts[1].q0 is None
+        else:
+            assert np.array_equal(starts[0].q0, np.zeros(1))
+            assert np.array_equal(starts[1].q0, np.zeros(1))
+
     def test_analyze_emits_stable_json(self, tmp_path, capsys):
         code = dispatch(["analyze", "--config", config_path("prony.json"),
                          "--out", str(tmp_path)])
@@ -317,6 +426,17 @@ class TestDispatch:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
+
+    def test_kernel_csv_on_position_dependent_coefficients_exits_3(
+            self, tmp_path, capsys):
+        out = tmp_path / "kernel.csv"
+        code = dispatch(["check", "--config",
+                         config_path("example_torus.json"),
+                         "--kernel-csv", str(out)])
+        assert code == 3
+        assert "--kernel-csv needs constant coefficients" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_kernel_csv_export(self, tmp_path, capsys):
         out = tmp_path / "kernel.csv"
