@@ -222,15 +222,13 @@ def _cmd_fordkac(args):
         raise QgleError("fordkac needs a conservative model.force: the bath "
                         "run integrates a Hamiltonian")
     from .kernels import FordKacSpectrum, fordkac_spectrum_for_exponential
-    spec_sec = section["spectrum"]
-    if spec_sec.get("kind") == "exponential":
+    spec_sec = section["spectrum"]  # validated by parse_config
+    if spec_sec["kind"] == "exponential":
         spectrum = fordkac_spectrum_for_exponential(
-            spec_sec["c"], spec_sec["alpha"], int(spec_sec["m_modes"]),
-            spec_sec["omega_max"])
-    elif spec_sec.get("kind") == "modes":
-        spectrum = FordKacSpectrum(tuple((k, w) for k, w in spec_sec["modes"]))
+            float(spec_sec["c"]), float(spec_sec["alpha"]),
+            int(spec_sec["m_modes"]), float(spec_sec["omega_max"]))
     else:
-        raise QgleError("fordkac.spectrum.kind must be 'exponential' or 'modes'")
+        spectrum = FordKacSpectrum(tuple((k, w) for k, w in spec_sec["modes"]))
     seed = args.seed if args.seed is not None else (
         config.integrator.seed if config.integrator else 0)
     dt = float(section.get("dt", config.integrator.dt if config.integrator else 1e-3))
@@ -297,14 +295,13 @@ def _cmd_analyze(args):
     observable = None
     if config.analysis.get("observable") and model.n == 1 \
             and model.domain.is_torus:
-        from .expressions import compile_expr, parse_expr, validate_expr
+        from .expressions import compile_exprs, parse_expr, validate_expr
         tree = parse_expr(config.analysis["observable"])
         validate_expr(tree, model.n, model.domain.is_torus)
-        fn = compile_expr(tree)
+        evaluator = compile_exprs([tree])
 
-        def observable(q, _fn=fn):
-            return np.broadcast_to(np.asarray(_fn(q), dtype=float),
-                                   (q.shape[0],))
+        def observable(q):
+            return evaluator(q)[:, 0]
     if isinstance(initial, GibbsInit):
         moments = gibbs_moment_test(traj, model, observable=observable,
                                     burn_in=burn_in)

@@ -110,6 +110,16 @@ def _matrix(value, path, shape=None):
     return arr
 
 
+def _expression(text, n, torus, path):
+    """Parse and validate one expression entry."""
+    try:
+        tree = parse_expr(text)
+        validate_expr(tree, n, torus)
+    except ValueError as err:
+        raise ConfigError(str(err), path) from None
+    return tree
+
+
 def _build_force(section, n, torus, path):
     if not isinstance(section, dict):
         raise ConfigError("expected an object", path)
@@ -121,11 +131,7 @@ def _build_force(section, n, torus, path):
         return ForceField.zero(n)
     if kind == "conservative":
         _expect_keys(section, ("kind", "potential"), ("linear_part",), path)
-        try:
-            tree = parse_expr(section["potential"])
-            validate_expr(tree, n, torus)
-        except ValueError as err:
-            raise ConfigError(str(err), path + ("potential",)) from None
+        tree = _expression(section["potential"], n, torus, path + ("potential",))
         return ForceField.from_potential_expr(tree, n, linear_part=linear)
     if kind == "harmonic":
         _expect_keys(section, ("kind", "stiffness"), (), path)
@@ -135,22 +141,9 @@ def _build_force(section, n, torus, path):
         comps = section["components"]
         if len(comps) != n:
             raise ConfigError(f"need {n} force components", path + ("components",))
-        trees = []
-        for i, comp in enumerate(comps):
-            try:
-                tree = parse_expr(comp)
-                validate_expr(tree, n, torus)
-            except ValueError as err:
-                raise ConfigError(str(err), path + ("components", i)) from None
-            trees.append(tree)
-        from .expressions import compile_expr
-        fns = [compile_expr(t) for t in trees]
-
-        def force(q):
-            return np.stack([np.broadcast_to(fn(q), (q.shape[0],))
-                             for fn in fns], axis=-1)
-
-        return ForceField.nonconservative(n, force, linear_part=linear)
+        trees = [_expression(comp, n, torus, path + ("components", i))
+                 for i, comp in enumerate(comps)]
+        return ForceField.nonconservative(n, trees, linear_part=linear)
     raise ConfigError(f"unknown force kind {kind!r}", path + ("kind",))
 
 
@@ -232,21 +225,19 @@ def _build_coefficients(section, n, torus, path):
         _expect_keys(section, ("kind", "m", "gamma", "sigma"), ("Q",), path)
         m = _int(section["m"], path + ("m",))
         dim = n + m
+        entries = {}
         for name in ("gamma", "sigma"):
             rows = section[name]
             if not isinstance(rows, list) or len(rows) != dim \
                     or any(not isinstance(r, list) or len(r) != dim
                            for r in rows):
                 raise ConfigError(f"{name} must be {dim}x{dim}", path + (name,))
-            for i, row in enumerate(rows):
-                for j, entry in enumerate(row):
-                    if isinstance(entry, str):
-                        try:
-                            validate_expr(parse_expr(entry), n, torus)
-                        except (QgleError, ValueError) as err:
-                            raise ConfigError(str(err), path + (name, i, j)) from None
-        coeffs = CoefficientField(n, m, gamma_entries=section["gamma"],
-                                  sigma_entries=section["sigma"])
+            entries[name] = [[_expression(e, n, torus, path + (name, i, j))
+                              if isinstance(e, str) else e
+                              for j, e in enumerate(row)]
+                             for i, row in enumerate(rows)]
+        coeffs = CoefficientField(n, m, gamma_entries=entries["gamma"],
+                                  sigma_entries=entries["sigma"])
         q_mat = None if q_given is None else _matrix(q_given, path + ("Q",), (m, m))
         return coeffs, q_mat, None
     if kind == "noneq":
@@ -274,6 +265,30 @@ _ANALYSIS_KEYS = ("burn_in", "n_batches", "observable", "grid_points",
 _OUTPUT_KEYS = ("directory", "trajectory_csv", "noise_sidecar",
                 "report_json", "figure_csv")
 _FORDKAC_KEYS = ("spectrum", "T", "dt", "q0", "p0", "stride")
+_SPECTRUM_KEYS = {"exponential": ("kind", "c", "alpha", "m_modes", "omega_max"),
+                  "modes": ("kind", "modes")}
+
+
+def _check_spectrum(spec, path):
+    """The keys of the spectrum's kind, and positive numbers in them."""
+    _expect_keys(spec, ("kind",), _SPECTRUM_KEYS["exponential"] + ("modes",),
+                 path)
+    if spec["kind"] not in ("exponential", "modes"):
+        raise ConfigError("kind must be 'exponential' or 'modes'", path + ("kind",))
+    _expect_keys(spec, _SPECTRUM_KEYS[spec["kind"]], (), path)
+    if spec["kind"] == "exponential":
+        numbers = [(path + (key,), spec[key])
+                   for key in _SPECTRUM_KEYS["exponential"][1:]]
+    elif not (isinstance(spec["modes"], list) and all(
+            isinstance(mode, list) and len(mode) == 2 for mode in spec["modes"])):
+        raise ConfigError("modes must be an array of [k, omega] pairs",
+                          path + ("modes",))
+    else:
+        numbers = [(path + ("modes", i), value)
+                   for i, mode in enumerate(spec["modes"]) for value in mode]
+    for where, value in numbers:
+        if not _float(value, where) > 0:
+            raise ConfigError(f"must be positive, got {value!r}", where)
 
 
 def parse_config(text):
@@ -335,6 +350,7 @@ def parse_config(text):
     fordkac = raw.get("fordkac", {})
     if fordkac:
         _expect_keys(fordkac, ("spectrum", "T"), _FORDKAC_KEYS, ("fordkac",))
+        _check_spectrum(fordkac["spectrum"], ("fordkac", "spectrum"))
 
     lyap_c = analysis.get("lyapunov_C")
     dim = coeffs.n + coeffs.m

@@ -17,6 +17,7 @@ Validation screens (both raise :class:`ExpressionError`):
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ __all__ = [
     "Expr",
     "ExpressionError",
     "parse_expr",
-    "compile_expr",
+    "compile_exprs",
     "diff_expr",
     "max_q_index",
     "screen_division",
@@ -191,29 +192,98 @@ def parse_expr(text):
     return _Parser(_tokenize(text)).parse()
 
 
-def _codegen(expr):
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return f"q[..., {expr.index}]"
-    if isinstance(expr, Call):
-        return f"np.{expr.func}({_codegen(expr.arg)})"
-    return f"({_codegen(expr.left)} {expr.op} {_codegen(expr.right)})"
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def compile_expr(expr):
-    """Compile an expression tree into a fast vectorized callable.
+class _Evaluator:
+    """Several trees evaluated together by one program of ufunc calls.
 
-    The generated source only references numpy ufuncs and q components, so
-    this is a plain constant fold of the tree.  Constant expressions
-    broadcast to the batch.
+    ``program``, built on first use, computes each distinct subtree of the
+    trees once, folds constant subtrees once (by the same ufuncs) into 0-d
+    float64 arrays, and writes every node with ``out`` into a scratch row
+    or straight into the caller's output.  It lists the calls as
+    (function, slots): ("q", j) is column j of the batch, ("k", i) constant
+    i, ("t", i) scratch row i and ("o", i) the output of tree i; a ufunc
+    writes its last slot, ``np.copyto`` its first.  ``constants`` holds the
+    value of each constant tree (else None), which ``bind`` writes once.
     """
-    src = _codegen(expr)
-    raw = eval(f"lambda q: {src}", {"np": np, "__builtins__": {}})
-    if max_q_index(expr) < 0:
-        value = float(raw(np.zeros((1, 1))))
-        return lambda q: np.full(q.shape[:-1], value) if q.ndim > 1 else value
-    return raw
+
+    def __init__(self, trees):
+        self.trees = tuple(trees)
+        self._program = None
+
+    @property
+    def program(self):
+        if self._program is None:
+            self._build()
+        return self._program
+
+    def _build(self):
+        consts, names, program, self._consts, self._n_temps = {}, {}, [], [], 0
+
+        def emit(expr, dest=None):
+            if isinstance(expr, Var):
+                return ("q", expr.index)
+            if isinstance(expr, Num):
+                value = np.float64(expr.value)
+            else:
+                if isinstance(expr, Call):
+                    key = (getattr(np, expr.func), emit(expr.arg))
+                else:
+                    key = (_BINARY[expr.op], emit(expr.left), emit(expr.right))
+                if any(kind != "k" for kind, _ in key[1:]):
+                    if key not in names:
+                        if dest is None:
+                            dest = ("t", self._n_temps)
+                            self._n_temps += 1
+                        program.append((key[0], key[1:] + (dest,)))
+                        names[key] = dest
+                    return names[key]
+                value = key[0](*(self._consts[i] for _, i in key[1:]))
+            if value.tobytes() not in consts:
+                consts[value.tobytes()] = ("k", len(self._consts))
+                self._consts.append(np.array(value))
+            return consts[value.tobytes()]
+
+        self.constants = []
+        for i, tree in enumerate(self.trees):
+            slot = emit(tree, ("o", i))
+            constant = slot[0] == "k"
+            self.constants.append(self._consts[slot[1]][()] if constant else None)
+            if not constant and slot != ("o", i):
+                program.append((np.copyto, (("o", i), slot)))
+        self._program = program
+
+    def bind(self, q, outs):
+        """Return ``evaluate()``, which writes the values of the trees at
+        the rows of the (R, n) array ``q`` (as they are when it is called)
+        into ``outs``, one (R,) array per tree that overlaps neither ``q``
+        nor another output.  Constant trees are written here, once."""
+        program, outs = self.program, list(outs)
+        slots = {"q": list(q.T), "k": self._consts, "o": outs,
+                 "t": list(np.empty((self._n_temps, len(q))))}
+        for out, value in zip(outs, self.constants):
+            if value is not None:
+                out[...] = value
+        calls = [functools.partial(fn, *(slots[kind][i] for kind, i in args))
+                 for fn, args in program]
+
+        def evaluate():
+            for call in calls:
+                call()
+        return evaluate
+
+    def __call__(self, q):
+        """The (R, k) array of the k trees' values at the (R, n) batch."""
+        out = np.empty((len(q), len(self.trees)))
+        self.bind(q, out.T)()
+        return out
+
+
+def compile_exprs(trees):
+    """One evaluator of several expression trees on (R, n) batches; see
+    ``_Evaluator``."""
+    return _Evaluator(trees)
 
 
 _ZERO = Num(0.0)

@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveError,
     NumericalFailureError,
 )
-from .expressions import BinOp, Call, Num, Var, parse_expr
+from .expressions import BinOp, Call, Num, Var, compile_exprs, diff_expr, parse_expr
 
 __all__ = [
     "Domain",
@@ -115,15 +115,17 @@ class ForceField:
     checked once at construction: a central finite difference of the
     potential must match the stated gradient to 1e-5 relative at sampled
     points.  The integrators kick a conservative field through its gradient
-    (``-grad U``); ``_grad_columns``, when set, holds one callable per
-    gradient component mapping the ``(R, n)`` batch to an ``(R,)`` column.
+    (``-grad U``).  A field built from expressions keeps, as ``_columns``,
+    one evaluator (``compile_exprs``) of the n components of the gradient
+    of its potential or, if it is not conservative, of its force; the
+    integrators evaluate them together with the coefficients.
     ``linear_part``, when given, is the SPD stiffness H of a harmonic part
     q' H q / 2 of the potential; the Ford-Kac ensembles draw their start
     positions from its Gibbs marginal.
     """
 
     def __init__(self, kind, n, force, potential=None, grad_potential=None,
-                 linear_part=None, _check=True, _grad_columns=None):
+                 linear_part=None, _check=True, _columns=None):
         if kind not in ("conservative", "nonconservative"):
             raise ValueError(f"unknown force kind {kind!r}")
         self.kind = kind
@@ -131,7 +133,7 @@ class ForceField:
         self._force = force
         self._potential = potential
         self._grad = grad_potential
-        self._grad_columns = _grad_columns
+        self._columns = _columns
         self.linear_part = None if linear_part is None else _check_spd(
             _as_matrix(linear_part, (n, n), "linear_part"), "linear_part")
         if kind == "conservative":
@@ -146,10 +148,8 @@ class ForceField:
     def potential(self, q):
         if self._potential is None:
             raise NonConservativeError("force has no potential")
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        out = np.asarray(self._potential(q[None, :] if single else q), dtype=float)
-        return float(out[0]) if single else out
+        out = _batched(self._potential, q)
+        return float(out) if out.ndim == 0 else out
 
     def grad_potential(self, q):
         if self._grad is None:
@@ -187,13 +187,6 @@ class ForceField:
                    _check=False)
 
     @classmethod
-    def conservative(cls, n, potential, grad_potential, linear_part=None):
-        return cls("conservative", n,
-                   force=lambda q: -np.asarray(grad_potential(q), dtype=float),
-                   potential=potential, grad_potential=grad_potential,
-                   linear_part=linear_part)
-
-    @classmethod
     def harmonic(cls, stiffness):
         """U(q) = q' H q / 2 for SPD H."""
         h = _check_spd(np.atleast_2d(np.asarray(stiffness, dtype=float)), "stiffness")
@@ -209,30 +202,24 @@ class ForceField:
         """Conservative force from a potential in the closed expression family.
 
         The gradient is the symbolic derivative of the tree (the family is
-        closed under differentiation), compiled to vectorized callables.
+        closed under differentiation); the potential and the n gradient
+        components are evaluated by two evaluators.
         """
         tree = parse_expr(expr) if isinstance(expr, str) else expr
-        from .expressions import compile_expr, diff_expr
-        u_fn = compile_expr(tree)
-        grad_fns = [compile_expr(diff_expr(tree, j)) for j in range(n)]
-
-        def potential(q):
-            return np.broadcast_to(np.asarray(u_fn(q), dtype=float),
-                                   (q.shape[0],))
-
-        def grad(q):
-            out = np.empty(q.shape)
-            for j, g in enumerate(grad_fns):
-                out[:, j] = g(q)
-            return out
-
+        u = compile_exprs([tree])
+        grad = compile_exprs([diff_expr(tree, j) for j in range(n)])
         return cls("conservative", n, force=lambda q: -grad(q),
-                   potential=potential, grad_potential=grad,
-                   linear_part=linear_part, _grad_columns=grad_fns)
+                   potential=lambda q: u(q)[:, 0], grad_potential=grad,
+                   linear_part=linear_part, _columns=grad)
 
     @classmethod
     def nonconservative(cls, n, force, linear_part=None):
-        return cls("nonconservative", n, force=force, linear_part=linear_part)
+        """``force`` maps ``(R, n)`` batches to forces, or is a list of n
+        expression trees, one per component."""
+        columns = None if callable(force) else compile_exprs(force)
+        return cls("nonconservative", n,
+                   force=force if columns is None else columns,
+                   linear_part=linear_part, _columns=columns)
 
 
 class CoefficientField:
@@ -241,7 +228,12 @@ class CoefficientField:
     Position-dependent fields store one entry per matrix element, each either
     a float or an expression tree from the closed family, so smoothness is
     guaranteed by construction.  ``gamma(q)``/``sigma(q)`` evaluate to
-    ``(n+m, n+m)`` at a point or ``(R, n+m, n+m)`` on a batch.
+    ``(n+m, n+m)`` at a point or ``(R, n+m, n+m)`` on a batch, filling the
+    nonzero entries of a zero-filled buffer by one evaluator
+    (``compile_exprs``) per matrix, kept with their positions as ``_gamma``
+    and ``_sigma``; the evaluator writes the literal entries once and
+    computes the others.  The position-dependent Euler step evaluates both
+    matrices and the force by one evaluator instead.
     """
 
     def __init__(self, n, m, gamma=None, sigma=None,
@@ -257,19 +249,23 @@ class CoefficientField:
             self._sigma = _as_matrix(sigma, (dim, dim), "Sigma")
         else:
             self.kind = "position_dependent"
-            self._gamma_entries = self._check_entries(gamma_entries, dim, "Gamma")
-            self._sigma_entries = self._check_entries(sigma_entries, dim, "Sigma")
-            self._gamma_fns = self._compile_entries(self._gamma_entries)
-            self._sigma_fns = self._compile_entries(self._sigma_entries)
+            self._gamma_entries, self._gamma = self._check_entries(
+                gamma_entries, dim, "Gamma")
+            self._sigma_entries, self._sigma = self._check_entries(
+                sigma_entries, dim, "Sigma")
 
     @staticmethod
     def _check_entries(entries, dim, name):
+        """The entries as a (dim, dim) object array of floats and trees, and
+        (positions, evaluator) of the nonzero ones, row-major: a float counts
+        as a literal ``Num``, and zeros are left to zero-filled buffers."""
         if entries is None:
             raise ValueError(f"{name} entries missing")
         rows = list(entries)
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError(f"{name} entries must form a {dim}x{dim} matrix")
         out = np.empty((dim, dim), dtype=object)
+        positions, trees = [], []
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if isinstance(entry, str):
@@ -279,59 +275,35 @@ class CoefficientField:
                 elif not isinstance(entry, (Num, Var, Call, BinOp)):
                     raise ValueError(f"{name}[{i}][{j}] must be a number or expression")
                 out[i, j] = entry
-        return out
+                tree = Num(entry) if isinstance(entry, float) else entry
+                if tree != Num(0.0):
+                    positions.append((i, j))
+                    trees.append(tree)
+        return out, (positions, compile_exprs(trees))
 
     @property
     def constant(self):
         return self.kind == "constant"
 
-    @staticmethod
-    def _compile_entries(entries):
-        """(i, j, value, fn) per entry: a number (a literal ``Num`` counts as
-        its float) is assigned directly and zeros are skipped; an expression
-        is compiled."""
-        from .expressions import compile_expr
-        dim = entries.shape[0]
-        fns = []
-        for i in range(dim):
-            for j in range(dim):
-                entry = entries[i, j]
-                if isinstance(entry, Num):
-                    entry = float(entry.value)
-                if isinstance(entry, float):
-                    if entry != 0.0:
-                        fns.append((i, j, entry, None))
-                else:
-                    fns.append((i, j, None, compile_expr(entry)))
-        return fns
-
-    def _eval_entries(self, fns, q):
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        batch = q[None, :] if single else q
-        dim = self.n + self.m
-        out = np.zeros((batch.shape[0], dim, dim))
-        for i, j, value, fn in fns:
-            out[:, i, j] = value if fn is None else fn(batch)
-        return out[0] if single else out
-
     def gamma(self, q=None):
-        if self.constant:
-            if q is None or np.asarray(q).ndim <= 1:
-                return self._gamma
-            return np.broadcast_to(self._gamma, (np.asarray(q).shape[0],) + self._gamma.shape)
-        if q is None:
-            raise ValueError("position-dependent field needs q")
-        return self._eval_entries(self._gamma_fns, q)
+        return self._at(self._gamma, q)
 
     def sigma(self, q=None):
+        return self._at(self._sigma, q)
+
+    def _at(self, field, q):
         if self.constant:
             if q is None or np.asarray(q).ndim <= 1:
-                return self._sigma
-            return np.broadcast_to(self._sigma, (np.asarray(q).shape[0],) + self._sigma.shape)
+                return field
+            return np.broadcast_to(field, (np.asarray(q).shape[0],) + field.shape)
         if q is None:
             raise ValueError("position-dependent field needs q")
-        return self._eval_entries(self._sigma_fns, q)
+        q = np.asarray(q, dtype=float)
+        batch = q[None, :] if q.ndim == 1 else q
+        out = np.zeros((len(batch),) + (self.n + self.m,) * 2)
+        positions, evaluator = field
+        evaluator.bind(batch, [out[:, i, j] for i, j in positions])()
+        return out[0] if q.ndim == 1 else out
 
     # block accessors on an evaluated matrix
     def blocks(self, mat):

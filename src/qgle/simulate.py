@@ -21,11 +21,13 @@ step carries the force of its closing half-kick into the opening half-kick
 of the next step, so it makes one force call per step.  A conservative
 force is kicked straight through its gradient, as grad U(q) * (-dt/2) or
 grad U(q) * (-dt) (equal to F(q) times the step up to the sign of an exact
-zero), reaching the compiled gradient columns of an expression potential
-directly.  No ufunc in a step body writes over one of its own operands when
-that operand is a one-element array or a strided view, because numpy's
-overlap check costs about 1 us there: updates go through scratch rows
-instead, and scalar operands are 0-d arrays.  The explicit bath's
+zero), reaching the gradient evaluator of an expression potential
+directly.  The position-dependent Euler step evaluates the expression
+force and the entries of Gamma(q) and Sigma(q) by one evaluator call into
+preallocated buffers.  No ufunc in a step body writes over one of its own
+operands when that operand is a one-element array or a strided view,
+because numpy's overlap check costs about 1 us there: updates go through
+scratch rows instead, and scalar operands are 0-d arrays.  The explicit bath's
 velocity-Verlet loop works the same way on (replicas x modes) buffers,
 carrying both half-kicks between steps, with one gradient call per step.
 Both loops run through one driver that checks finiteness once per chunk of
@@ -52,6 +54,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IntegrationBlowupError, NonConservativeError
+from .expressions import compile_exprs
 from .model import ExtendedState
 
 __all__ = [
@@ -388,33 +391,55 @@ def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
     return out
 
 
-def _force_kick(force, q, out, scale):
-    """Return ``kick()``, which writes scale * F(q) into ``out``.
+def _model_evaluator(model):
+    """One evaluator of the force's expression columns (if any), then the
+    nonzero entries of Gamma and of Sigma, built once per model."""
+    key = (_model_evaluator,)
+    evaluator = model._derived.get(key)
+    if evaluator is None:
+        columns = model.force._columns
+        trees = [] if columns is None else list(columns.trees)
+        for _, entries in (model.coeffs._gamma, model.coeffs._sigma):
+            trees += entries.trees
+        evaluator = model._derived[key] = compile_exprs(trees)
+    return evaluator
 
-    ``q`` and ``out`` are the caller's (R, n) buffers.  A conservative force
-    is reached through its gradient, as grad U(q) * (-scale), straight from
-    the compiled gradient columns of an expression potential when it has
-    them.  IEEE products are symmetric under sign, so this is F(q) * scale
-    up to the sign of an exact zero, without the force wrappers and the
-    negated force array.  A non-conservative force gives F(q) * scale.
+
+def _force_kick(model, q, out, scale, gamma=None, sigma=None):
+    """Return ``kick()``, which writes scale * F(q) into ``out`` and, when
+    the (R, n+m, n+m) buffers ``gamma`` and ``sigma`` are given, Gamma(q)
+    and Sigma(q) into them.
+
+    ``q`` and ``out`` are the caller's (R, n) buffers.  The expression
+    columns of the force and, with the buffers, the entries of Gamma and
+    Sigma are evaluated by one evaluator call per kick
+    (``_model_evaluator``, bound here to preallocated buffers, so the
+    zeros and literal entries of the coefficients are written once).  A
+    conservative force is reached through its gradient, as
+    grad U(q) * (-scale): IEEE products are symmetric under sign, so this
+    is F(q) * scale up to the sign of an exact zero.  A non-conservative
+    force gives F(q) * scale.
     """
-    if force._grad_columns is not None:
-        neg = np.array(-scale)
-        columns = [(g, out[:, j]) for j, g in enumerate(force._grad_columns)]
-
-        def kick():
-            for g, column in columns:
-                np.multiply(g(q), neg, out=column)
+    force, outs, evaluator = model.force, [], model.force._columns
+    if evaluator is not None:
+        columns = np.empty(out.shape)
+        outs += list(columns.T)
+        fn, sign = (lambda _: columns), (-1 if force.is_conservative else 1)
     elif force._grad is not None:
-        grad, neg = force._grad, np.array(-scale)
-
-        def kick():
-            np.multiply(grad(q), neg, out=out)
+        fn, sign = force._grad, -1
     else:
-        fn, pos = force._force, np.array(scale)
+        fn, sign = force._force, 1
+    if gamma is not None:
+        evaluator = _model_evaluator(model)
+        for (positions, _), buf in ((model.coeffs._gamma, gamma),
+                                    (model.coeffs._sigma, sigma)):
+            outs += [buf[:, i, j] for i, j in positions]
+    evaluate = (lambda: None) if evaluator is None else evaluator.bind(q, outs)
+    factor = np.array(sign * scale)
 
-        def kick():
-            np.multiply(fn(q), pos, out=out)
+    def kick():
+        evaluate()
+        np.multiply(fn(q), factor, out=out)
     return kick
 
 
@@ -424,7 +449,9 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     The state lives in preallocated (R, n) and (R, n+m) buffers that one
     step body per scheme, chosen before the loop, updates in place in the
     floating-point order of the plain expressions (see ``_force_kick`` for
-    the force).  Each chunk's noise is drawn and pre-transformed in bulk.
+    the force and, in the position-dependent Euler body, Gamma(q) and
+    Sigma(q) evaluated with it).  Each chunk's noise is drawn and
+    pre-transformed in bulk.
     The splitting body carries half * F(q) from the closing half-kick of one
     step into the opening half-kick of the next, so each step makes one
     force call.
@@ -483,7 +510,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         hf = np.empty((R, n))  # half * F(q), carried between steps
         p_now = pc
         state = [q, z, pc, hf]  # buffers a replayed chunk restores
-        force_kick = _force_kick(model.force, q, hf, 0.5 * dt)
+        force_kick = _force_kick(model, q, hf, 0.5 * dt)
         if n_steps:
             force_kick()
 
@@ -508,11 +535,10 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         drift = np.empty((R, dim))
         fdt = np.empty((R, n))
         pt = np.empty((R, n))
-        force_kick = _force_kick(model.force, q, fdt, dt)
 
         def euler_update(kick):
-            """Position drift and (p, s) update from the pre-step state."""
-            force_kick()
+            """Position drift and (p, s) update from the pre-step state,
+            once ``force_kick`` has run."""
             np.multiply(vel, step_dt, out=dq)
             move()
             np.multiply(drift, step_dt, out=drift)
@@ -530,19 +556,25 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         if coeffs.constant:
             gamma_t = np.ascontiguousarray(coeffs.gamma().T)
             sigma_t = np.ascontiguousarray(coeffs.sigma().T)
+            force_kick = _force_kick(model, q, fdt, dt)
 
             def body(k):
                 velocity()
                 np.matmul(zh, gamma_t, out=drift)
+                force_kick()
                 euler_update(kicks[:, k])
         else:
+            gamma = np.zeros((R, dim, dim))
+            sigma = np.zeros((R, dim, dim))
             kick = np.empty((R, dim))
             sqrt_kick0 = np.array(sqrt_kick)
+            force_kick = _force_kick(model, q, fdt, dt, gamma, sigma)
 
             def body(k):
                 velocity()
-                np.einsum("rij,rj->ri", coeffs.gamma(q), zh, out=drift)
-                np.einsum("rij,rj->ri", coeffs.sigma(q), xi[:, k], out=kick)
+                force_kick()    # also Gamma(q) and Sigma(q)
+                np.einsum("rij,rj->ri", gamma, zh, out=drift)
+                np.einsum("rij,rj->ri", sigma, xi[:, k], out=kick)
                 np.multiply(kick, sqrt_kick0, out=kick)
                 euler_update(kick)
 
@@ -734,9 +766,16 @@ def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
     decay, _, factor = _ou_step(g22, s2 @ s2.T / beta, dt)
     # the exact update covariance mixes the whole Wiener path inside a step,
     # so it cannot be a function of the per-step increment alone; drive the
-    # map with the auxiliary-block components, which are iid standard normals
-    for k in range(steps):
-        out[k + 1] = decay @ out[k] + factor @ noise[k][n:]
+    # map with the auxiliary-block components, which are iid standard normals.
+    # One one-row product per step and term (a many-row product rounds
+    # differently), written in place through two scratch rows; np.dot with
+    # ``out`` gives the bits of ``@`` at less call overhead
+    drift, kick = np.empty(m), np.empty(m)
+    rows = list(out)
+    for now, after, xi in zip(rows, rows[1:], noise[:, n:]):
+        np.dot(decay, now, out=drift)
+        np.dot(factor, xi, out=kick)
+        np.add(drift, kick, out=after)
     return out
 
 

@@ -346,6 +346,55 @@ class TestDispatch:
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "fordkac.csv").exists()
 
+    @pytest.mark.parametrize("change, path, message", [
+        (lambda spec: spec.pop("c"), "fordkac.spectrum", "missing key 'c'"),
+        (lambda spec: spec.update(typo=1.0), "fordkac.spectrum",
+         "unknown key 'typo'"),
+        (lambda spec: spec.update(kind="lorentz"), "fordkac.spectrum.kind",
+         "kind must be 'exponential' or 'modes'"),
+        (lambda spec: spec.update(alpha="fast"), "fordkac.spectrum.alpha",
+         "expected a number"),
+        (lambda spec: spec.update(m_modes=0), "fordkac.spectrum.m_modes",
+         "must be positive"),
+        (lambda spec: spec.update(omega_max=-20.0),
+         "fordkac.spectrum.omega_max", "must be positive"),
+        (lambda spec: spec.update(modes=[[1.0, 2.0]]), "fordkac.spectrum",
+         "unknown key 'modes'"),
+        (lambda spec: (spec.clear(), spec.update(kind="modes", modes=[
+            [1.0, 2.0], [1.0]])), "fordkac.spectrum.modes",
+         "modes must be an array of [k, omega] pairs"),
+        (lambda spec: (spec.clear(), spec.update(kind="modes", modes=[
+            [1.0, -2.0]])), "fordkac.spectrum.modes.0",
+         "must be positive, got -2.0"),
+    ], ids=["missing-c", "unknown-key", "kind", "alpha-type", "m_modes",
+            "omega_max", "key-of-other-kind", "mode-shape", "mode-sign"])
+    def test_fordkac_spectrum_errors_name_their_key(self, tmp_path, capsys,
+                                                    change, path, message):
+        with open(config_path("fordkac.json")) as handle:
+            raw = json.load(handle)
+        change(raw["fordkac"]["spectrum"])
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(raw))
+        assert dispatch(["fordkac", "--config", str(config),
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err
+        assert message in err
+        assert not (tmp_path / "fordkac.csv").exists()
+
+    def test_fordkac_runs_a_modes_spectrum(self, tmp_path):
+        with open(config_path("fordkac.json")) as handle:
+            raw = json.load(handle)
+        raw["fordkac"]["spectrum"] = {"kind": "modes",
+                                      "modes": [[0.5, 1.0], [0.2, 3.0]]}
+        raw["fordkac"]["T"] = 1.0
+        config = tmp_path / "modes.json"
+        config.write_text(json.dumps(raw))
+        assert dispatch(["fordkac", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fordkac.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1000 // 10 + 1
+
     @pytest.mark.parametrize("domain", ["torus", "euclidean"])
     def test_simulate_and_analyze_share_the_start(self, tmp_path,
                                                   monkeypatch, domain):

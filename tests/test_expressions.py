@@ -10,7 +10,7 @@ from qgle.expressions import (
     ExpressionError,
     Num,
     Var,
-    compile_expr,
+    compile_exprs,
     diff_expr,
     parse_expr,
     screen_division,
@@ -23,7 +23,7 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 def eval_expr(expr, q):
-    """Tree-walking reference evaluator for ``compile_expr``.
+    """Tree-walking reference evaluator for ``compile_exprs``.
 
     ``q`` is an ``(n,)`` point or an ``(R, n)`` batch; the result is a scalar
     or an ``(R,)`` array, broadcast with numpy ufuncs.
@@ -170,8 +170,8 @@ def test_pruned_gradient_equals_unpruned(text, n, same_bits):
     for j in range(n):
         pruned, unpruned = diff_expr(tree, j), _unpruned_diff(tree, j)
         assert _count_ops(pruned) < _count_ops(unpruned)
-        want = np.broadcast_to(compile_expr(unpruned)(grid), grid.shape[:1])
-        got = np.broadcast_to(compile_expr(pruned)(grid), grid.shape[:1])
+        want = compile_exprs([unpruned])(grid)[:, 0]
+        got = compile_exprs([pruned])(grid)[:, 0]
         assert np.all(np.isfinite(want))
         assert np.array_equal(got, want)
         if same_bits:
@@ -187,9 +187,74 @@ def test_cos_gradient_drops_dead_terms():
 
 def test_compile_matches_tree_walker():
     tree = parse_expr("2+cos(2*pi*q1)*sin(4*pi*q2)")
-    fn = compile_expr(tree)
+    fn = compile_exprs([tree])
     pts = np.random.default_rng(1).random((16, 2))
-    assert np.allclose(fn(pts), eval_expr(tree, pts))
+    assert fn(pts)[:, 0].tobytes() == eval_expr(tree, pts).tobytes()
+
+
+def _assert_columns_match_tree_walker(evaluator, pts):
+    """Each column of a joint evaluator has the tree walker's bytes where
+    the walker is finite, and is non-finite where it is not."""
+    with np.errstate(all="ignore"):
+        got = evaluator(pts)
+        for k, tree in enumerate(evaluator.trees):
+            want = np.broadcast_to(eval_expr(tree, pts), pts.shape[:1])
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got[:, k]), finite)
+            assert got[finite, k].tobytes() == want[finite].tobytes()
+
+
+def test_joint_evaluator_matches_tree_walker_on_shared_subtrees():
+    # trees built around the random subtrees a and b, each shared by three
+    # or more of them, plus a constant and an unrelated tree, in one
+    # evaluator
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (64, 2))
+    for _ in range(150):
+        a, b, c = (_random_source(rng, 2) for _ in range(3))
+        texts = [f"({a})*({c})", f"sin({a})-({b})", f"({b})/(3+cos({a}))",
+                 a, "2*pi", f"exp({b})+({a})*({b})", _random_source(rng)]
+        _assert_columns_match_tree_walker(
+            compile_exprs([parse_expr(t) for t in texts]), pts)
+
+
+def test_joint_evaluator_matches_tree_walker_on_gradients():
+    # a potential and its gradient share most of their subtrees
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (97, 2))
+    for text in ("cos(2*pi*q1)*sin(2*pi*q2)+0.3*cos(2*pi*q2)",
+                 "exp(sin(2*pi*q1))/(2+cos(2*pi*q1)) - q1*q1/3",
+                 "q1*q1/2+sin(q1)/4"):
+        tree = parse_expr(text)
+        _assert_columns_match_tree_walker(compile_exprs(
+            [tree, diff_expr(tree, 0), diff_expr(tree, 1), Num(0.5)]), pts)
+
+
+def test_position_dependent_step_evaluates_each_subtree_once():
+    # the tilted-cosine force and the Gamma and Sigma entries of the
+    # benchmark's position-dependent model, all in 2*pi*q1, are one
+    # evaluator holding a single cos and a single sin
+    import json
+
+    from qgle.config import parse_config
+    from qgle.simulate import _model_evaluator
+
+    a, g = "2+cos(2*pi*q1)", "1+0.5*cos(2*pi*q1)"
+    config = {
+        "model": {"domain": {"kind": "torus", "dim": 1},
+                  "force": {"kind": "nonconservative",
+                            "components": ["0.5+2*pi*sin(2*pi*q1)"]}},
+        "coefficients": {"kind": "position_dependent", "m": 1,
+                         "gamma": [["0", f"0-({a})"],
+                                   [a, f"0.5*({g})*({g})"]],
+                         "sigma": [["0", "0"], ["0", g]], "Q": [[1.0]]}}
+    model = parse_config(json.dumps(config)).model
+    evaluator = _model_evaluator(model)
+    assert len(evaluator.trees) == 5  # force, 3 Gamma entries, 1 Sigma entry
+    _assert_columns_match_tree_walker(
+        evaluator, np.random.default_rng(7).random((33, 1)))
+    calls = [fn for fn, _ in evaluator.program]
+    assert calls.count(np.cos) == 1
+    assert calls.count(np.sin) == 1
 
 
 # --- reference interpreter written independently of the library evaluator ---

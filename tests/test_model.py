@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgle.errors import InconsistentError, NonConservativeError, NoSolutionError
-from qgle.expressions import Num, compile_expr
+from qgle.expressions import Num, compile_exprs, parse_expr
 from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     NOT_APPLICABLE,
@@ -233,23 +233,24 @@ def test_extended_state_rejects_nonfinite():
 
 
 def test_literal_entries_evaluate_like_compiled_expressions():
-    # "0", "1" and "1.414..." parse to Num: they are assigned as constants
-    # (zeros skipped) instead of filled per call, with the bits of compiling
-    # every entry
+    # "0", "1" and "1.414..." parse to Num: they are written as constants
+    # (zeros left to the zero fill) instead of evaluated per call, with the
+    # bits of evaluating every entry as an expression of its own
     coeffs = CoefficientField(1, 1, gamma_entries=EXAMPLE_GAMMA_ENTRIES,
                               sigma_entries=EXAMPLE_SIGMA_ENTRIES)
     grid = np.random.default_rng(3).random((37, 1))
-    for field, entries, fns in (
-            (coeffs.gamma, coeffs._gamma_entries, coeffs._gamma_fns),
-            (coeffs.sigma, coeffs._sigma_entries, coeffs._sigma_fns)):
-        assert all(fn is None for i, j, _, fn in fns
-                   if isinstance(entries[i, j], Num))
+    for field, rows, (positions, evaluator) in (
+            (coeffs.gamma, EXAMPLE_GAMMA_ENTRIES, coeffs._gamma),
+            (coeffs.sigma, EXAMPLE_SIGMA_ENTRIES, coeffs._sigma)):
         want = np.empty((37, 2, 2))
         for i in range(2):
             for j in range(2):
-                want[:, i, j] = compile_expr(entries[i, j])(grid)
+                want[:, i, j] = compile_exprs([parse_expr(rows[i][j])])(grid)[:, 0]
         assert field(grid).tobytes() == want.tobytes()
         assert field(grid[5]).tobytes() == want[5].tobytes()
+        assert all(rows[i][j] != "0" for i, j in positions)
+        assert [value is not None for value in evaluator.constants] == [
+            isinstance(tree, Num) for tree in evaluator.trees]
 
 
 def test_mass_inverse_is_computed_once_and_read_only():

@@ -19,6 +19,7 @@ from qgle.simulate import (
     IntegratorSpec,
     Trajectory,
     _SplittingCache,
+    _ou_step,
     _philox,
     colored_noise_path,
     fordkac_ensemble,
@@ -353,6 +354,25 @@ def _posdep_tilted_model():
                      force=_tilted_force(1), coeffs=model.coeffs, Q=model.Q)
 
 
+def _posdep_dim3_model():
+    """n = 1, m = 2 on the torus: rows of three terms, so the einsum of
+    Gamma(q) and Sigma(q) with (M^-1 p, s) and the increments sums more
+    than two products per row."""
+    coeffs = CoefficientField(
+        1, 2,
+        gamma_entries=[["0.2", "0-(2+cos(2*pi*q1))", "0.5*sin(2*pi*q1)"],
+                       ["2+cos(2*pi*q1)", "1+0.3*cos(2*pi*q1)", "0.1"],
+                       ["0-0.5*sin(2*pi*q1)", "0", "1.5"]],
+        sigma_entries=[["0.6", "0", "0"],
+                       ["0", "1+0.5*cos(2*pi*q1)", "0.2*sin(2*pi*q1)"],
+                       ["0", "0", "1.7"]])
+    return ModelSpec(domain=Domain("torus", 1), mass=np.array([[1.3]]),
+                     beta=0.9,
+                     force=ForceField.from_potential_expr(
+                         "cos(2*pi*q1)+0.2*sin(4*pi*q1)", 1),
+                     coeffs=coeffs)
+
+
 MASS2 = [[2.0, 0.3], [0.3, 1.5]]
 REFERENCE_CASES = {
     "split-torus-1-expression": (prony_model, "semi_exact_splitting"),
@@ -376,6 +396,8 @@ REFERENCE_CASES = {
     "euler-posdep-torus-1-expression": (_posdep_model, "euler_maruyama"),
     "euler-posdep-torus-1-nonconservative": (_posdep_tilted_model,
                                              "euler_maruyama"),
+    "euler-posdep-torus-1-aux-2-expression": (_posdep_dim3_model,
+                                              "euler_maruyama"),
 }
 
 
@@ -498,6 +520,35 @@ class TestSimulate:
             with pytest.raises(IntegrationBlowupError) as err:
                 simulate(model, integ, OSCILLATOR_START)
         assert err.value.step_index == 308
+
+    def test_position_dependent_blowup_reports_step_and_warning(self):
+        # exp(q1) overflows once q drifts past 709.78; s is exactly zero
+        # until then, so the einsum of Gamma(q) with (p, s) forms 0 * inf
+        # beside the zero entry of the row, a nan that warns nothing
+        coeffs = CoefficientField(
+            1, 1, gamma_entries=[["0", "0"], ["0", "exp(q1)"]],
+            sigma_entries=[["0.5", "0"], ["0", "0"]])
+        model = ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1),
+                          beta=1.0, force=ForceField.zero(1), coeffs=coeffs)
+        start = ExtendedState(q=[0.0], p=[6.0], s=[0.0])
+        integ = IntegratorSpec("euler_maruyama", dt=0.5, n_steps=10_000,
+                               seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationBlowupError) as err:
+                simulate(model, integ, start)
+        assert err.value.step_index == 6312  # in the second 4096-step chunk
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "overflow encountered in exp")]
+        before = simulate(model, IntegratorSpec(
+            "euler_maruyama", dt=0.5, n_steps=6311, seed=2), start)
+        assert np.all(before.s == 0.0)
+        with np.errstate(over="ignore"):
+            gamma = coeffs.gamma(before.q[-1])
+        assert gamma[1, 0] == 0.0 and gamma[1, 1] == np.inf
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                simulate(model, integ, start)
 
     @pytest.mark.parametrize("scheme", ["euler_maruyama",
                                         "semi_exact_splitting"])
@@ -626,6 +677,24 @@ class TestColoredNoisePath:
         # lag-1 autoregression factor equals the exact decay
         rho = np.mean(path[1:, 0] * path[:-1, 0]) / np.mean(path[:-1, 0] ** 2)
         assert rho == pytest.approx(np.exp(-0.05), abs=0.02)
+
+    @pytest.mark.parametrize("n, modes", [
+        (1, [(1.0, 1.0)]), (1, [(0.3, 0.7), (1.2, 3.0), (2.0, 0.5)]),
+        (2, [(1.0, 1.0)])])
+    def test_exact_path_matches_plain_one_row_products(self, n, modes):
+        # the plain map decay @ eta + factor @ xi, one row at a time
+        coeffs, q_mat = coeffs_from_prony(modes, n=n)
+        rng = np.random.default_rng(len(modes) + n)
+        noise = rng.standard_normal((3000, n + coeffs.m))
+        eta0 = rng.standard_normal(coeffs.m)
+        path = colored_noise_path(coeffs, q_mat, 0.9, 0.01, noise, eta0)
+        _, _, _, g22 = coeffs.blocks(coeffs.gamma())
+        _, s2 = coeffs.sigma_rows(coeffs.sigma())
+        decay, _, factor = _ou_step(g22, s2 @ s2.T / 0.9, 0.01)
+        want = [eta0]
+        for xi in noise:
+            want.append(decay @ want[-1] + factor @ xi[n:])
+        assert_same_bytes(path, np.array(want))
 
     def test_euler_matches_simulation_auxiliary_block(self):
         # with no coupling the s-path of the simulation IS the noise process
