@@ -31,10 +31,20 @@ scratch rows instead, and scalar operands are 0-d arrays.  The explicit bath's
 velocity-Verlet loop works the same way on (replicas x modes) buffers,
 carrying both half-kicks between steps, with one gradient call per step.
 Both loops run through one driver that checks finiteness once per chunk of
-4096 steps; a chunk that ends non-finite (or raised a floating-point error
-the caller does not ignore) is restored from its start and replayed step
-by step, so a blowup reports the same step index and warnings as a
-per-step check.
+steps; a chunk that ends non-finite (or raised a floating-point error the
+caller does not ignore) is restored from its start and replayed step by
+step, so a blowup reports the same step index and warnings as a per-step
+check.
+
+A chunk's noise lives in one buffer of the run, allocated once and laid out
+step-major as (chunk, replicas, n+m), so a step reads one contiguous
+(replicas, n+m) slab; it holds replicas x chunk x (n+m) values.  The
+position-dependent Euler step bounds its chunk by a budget of 2^17 values
+(1 MiB), clamped to 64-4096 steps (128 steps at 512 replicas of n+m = 2).
+The splitting and constant-coefficient Euler steps transform a replica's
+increments by one matrix product over the chunk, and a product over fewer
+rows can round differently, so their chunks stay at 4096 steps (the
+explicit bath draws no noise while stepping and keeps 4096 too).
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (seed, trajectory index), so ensembles are reproducible and independent of
@@ -85,6 +95,9 @@ SCHEMES = ("euler_maruyama", "semi_exact_splitting")
 
 NOISE_MAGIC = b"QGLN"
 NOISE_VERSION = 1
+
+# noise values one chunk of a position-dependent Euler run holds (1 MiB)
+_NOISE_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -172,8 +185,9 @@ def model_fingerprint(model):
 
 
 def _philox(seed, traj_index, purpose=0):
-    bits = np.random.Philox(counter=[0, 0, 0, purpose],
-                            key=[np.uint64(seed), np.uint64(traj_index)])
+    bits = np.random.Philox(
+        counter=np.array([0, 0, 0, purpose], dtype=np.uint64),
+        key=np.array([seed, traj_index], dtype=np.uint64))
     return np.random.Generator(bits)
 
 
@@ -280,8 +294,12 @@ def sample_gibbs(model, rng, size=1, q0=None):
     if model.Q is None:
         raise ValueError("Gibbs initialization needs the auxiliary covariance Q")
     n, m = model.n, model.m
-    chol_p = np.linalg.cholesky(model.mass / model.beta)
-    chol_s = np.linalg.cholesky(model.Q / model.beta)
+    derived = model._derived  # the factors and envelope, built once per model
+    key = (sample_gibbs, "cholesky")
+    if key not in derived:
+        derived[key] = (np.linalg.cholesky(model.mass / model.beta),
+                        np.linalg.cholesky(model.Q / model.beta))
+    chol_p, chol_s = derived[key]
     p = rng.standard_normal((size, n)) @ chol_p.T
     s = rng.standard_normal((size, m)) @ chol_s.T
     if q0 is not None:
@@ -290,14 +308,17 @@ def sample_gibbs(model, rng, size=1, q0=None):
     if not model.domain.is_torus:
         raise ValueError("q sampling is rejection on the torus; "
                          "fix q0 for euclidean domains")
-    # envelope from a grid scan of the potential
-    axes = np.linspace(0.0, 1.0, 257, endpoint=False)
-    if n == 1:
-        grid = axes[:, None]
-    else:
-        mesh = np.meshgrid(*([axes[::8]] * n), indexing="ij")
-        grid = np.stack([ax.ravel() for ax in mesh], axis=-1)
-    u_min = float(np.min(model.force.potential(grid)))
+    key = (sample_gibbs, "u_min")
+    if key not in derived:
+        # envelope from a grid scan of the potential
+        axes = np.linspace(0.0, 1.0, 257, endpoint=False)
+        if n == 1:
+            grid = axes[:, None]
+        else:
+            mesh = np.meshgrid(*([axes[::8]] * n), indexing="ij")
+            grid = np.stack([ax.ravel() for ax in mesh], axis=-1)
+        derived[key] = float(np.min(model.force.potential(grid)))
+    u_min = derived[key]
     q = np.empty((size, n))
     remaining = np.arange(size)
     while remaining.size:
@@ -335,8 +356,10 @@ def _resolve_initial(model, initial, rng):
     raise TypeError("initial must be an ExtendedState or GibbsInit")
 
 
-def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
-    """Run ``body`` n_steps times, checking finiteness once per chunk.
+def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
+                 begin=None):
+    """Run ``body`` n_steps times, checking finiteness once per chunk of
+    ``chunk`` steps (the caller's choice; the last chunk may be shorter).
 
     ``body(k)`` advances the state buffers in place by step k of the
     current chunk; ``begin(step, take)``, if given, prepares the chunk of
@@ -344,7 +367,7 @@ def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
     state as output row ``out`` after every ``stride``-th step (row 0 is
     the caller's); ``finite()`` says whether the state is finite.
 
-    Each chunk of 4096 steps runs with numpy's floating-point errors
+    Each chunk runs with numpy's floating-point errors
     recorded instead of reported (categories the caller ignores stay
     ignored).  A chunk that ends non-finite, recorded an error or raised is
     restored from its start (the arrays in ``state``) and replayed one
@@ -365,7 +388,7 @@ def _step_chunks(n_steps, stride, state, body, finite, store, begin=None):
     faults = []
     watch = {key: "ignore" if mode == "ignore" else "call"
              for key, mode in np.geterr().items() if key != "under"}
-    chunk = max(1, min(n_steps, 4096))
+    chunk = max(1, min(n_steps, chunk))
     step = 0
     out = 1
     while step < n_steps:
@@ -450,8 +473,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     step body per scheme, chosen before the loop, updates in place in the
     floating-point order of the plain expressions (see ``_force_kick`` for
     the force and, in the position-dependent Euler body, Gamma(q) and
-    Sigma(q) evaluated with it).  Each chunk's noise is drawn and
-    pre-transformed in bulk.
+    Sigma(q) evaluated with it).
     The splitting body carries half * F(q) from the closing half-kick of one
     step into the opening half-kick of the next, so each step makes one
     force call.
@@ -463,9 +485,18 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     through ``pt``.
 
     The steps run through ``_step_chunks``, which checks finiteness of the
-    state once per chunk of 4096 steps and replays a faulty chunk step by
-    step.  ``replay`` injects stored increments instead of drawing from the
-    streams (bit-exact regeneration).
+    state once per chunk and replays a faulty chunk step by step.  Before a
+    chunk, ``begin`` fills the run's one step-major (chunk, R, n+m) noise
+    buffer ``buf`` replica by replica: each replica's (take, n+m) block is
+    drawn into the reusable contiguous ``row`` (or taken from ``replay``,
+    which injects stored increments for bit-exact regeneration), copied
+    into ``noise`` when noise is stored, and written into ``buf[:take, r]``
+    as xi @ factor' (splitting), xi @ Sigma' times sqrt(dt/beta)
+    (constant-coefficient Euler) or xi (position-dependent Euler).  The
+    buffer holds R x chunk x (n+m) values.  The position-dependent Euler
+    chunk is ``_NOISE_BUDGET`` // (R (n+m)) steps clamped to [64, 4096];
+    the other schemes keep 4096 steps, since their product over fewer rows
+    can round differently and the bits would then depend on R.
     """
     n, m = model.n, model.m
     dim = n + m
@@ -492,7 +523,14 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     vel = zp if minv_t is None else np.empty((R, n))  # M^-1 p
     dq = np.empty((R, n))      # position increment
     qt = np.empty((R, n))      # q + dq, before its reduction to the torus
-    xi = kicks = None          # the current chunk's noise
+    if splitting or coeffs.constant:
+        chunk = 4096
+    else:
+        chunk = min(max(_NOISE_BUDGET // max(R * dim, 1), 64), 4096)
+    chunk = max(1, min(n_steps, chunk))
+    buf = np.empty((chunk, R, dim))  # the chunk's transformed increments
+    row = np.empty((chunk, dim)) if replay is None else None  # one replica's
+    transform = scale = None   # the noise factor and scale ``begin`` applies
 
     def move():
         """q <- q + dq, reduced to the torus."""
@@ -511,6 +549,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         p_now = pc
         state = [q, z, pc, hf]  # buffers a replayed chunk restores
         force_kick = _force_kick(model, q, hf, 0.5 * dt)
+        transform = cache.factor.T
         if n_steps:
             force_kick()
 
@@ -521,7 +560,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
             np.multiply(vel, half, out=dq)
             move()
             np.matmul(z, decay_t, out=zb)       # exact OU map of (p, s)
-            np.add(zb, kicks[:, k], out=z)
+            np.add(zb, buf[k], out=z)
             if minv_t is not None:
                 np.matmul(zp, minv_t, out=vel)
             np.multiply(vel, half, out=dq)
@@ -555,14 +594,15 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
 
         if coeffs.constant:
             gamma_t = np.ascontiguousarray(coeffs.gamma().T)
-            sigma_t = np.ascontiguousarray(coeffs.sigma().T)
+            transform = np.ascontiguousarray(coeffs.sigma().T)
+            scale = sqrt_kick
             force_kick = _force_kick(model, q, fdt, dt)
 
             def body(k):
                 velocity()
                 np.matmul(zh, gamma_t, out=drift)
                 force_kick()
-                euler_update(kicks[:, k])
+                euler_update(buf[k])
         else:
             gamma = np.zeros((R, dim, dim))
             sigma = np.zeros((R, dim, dim))
@@ -574,23 +614,26 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
                 velocity()
                 force_kick()    # also Gamma(q) and Sigma(q)
                 np.einsum("rij,rj->ri", gamma, zh, out=drift)
-                np.einsum("rij,rj->ri", sigma, xi[:, k], out=kick)
+                np.einsum("rij,rj->ri", sigma, buf[k], out=kick)
                 np.multiply(kick, sqrt_kick0, out=kick)
                 euler_update(kick)
 
     def begin(step, take):
-        """Draw (or take from ``replay``) and pre-transform a chunk's noise."""
-        nonlocal xi, kicks
-        if replay is not None:
-            xi = replay[:, step:step + take]
-        else:
-            xi = np.stack([g.standard_normal((take, dim)) for g in streams])
-        if collect_noise:
-            noise[:, step:step + take] = xi
-        if splitting:
-            kicks = xi @ cache.factor.T
-        elif coeffs.constant:
-            kicks = sqrt_kick * (xi @ sigma_t)
+        """Fill ``buf[:take]`` with the chunk's increments, replica by
+        replica, transformed by the scheme's noise factor."""
+        for r in range(R):
+            if replay is None:
+                xi = streams[r].standard_normal(out=row[:take])
+            else:
+                xi = replay[r, step:step + take]
+            if collect_noise:
+                noise[r, step:step + take] = xi
+            if transform is None:
+                buf[:take, r] = xi
+            else:
+                np.matmul(xi, transform, out=buf[:take, r])
+        if scale is not None:
+            np.multiply(buf[:take], scale, out=buf[:take])
 
     def store(out):
         qs[:, out], ps[:, out], ss[:, out] = q, p_now, zs
@@ -599,7 +642,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     out = _step_chunks(
         n_steps, stride, state, body,
         lambda: np.isfinite(z).all() and np.isfinite(p_now).all(), store,
-        begin)
+        chunk, begin)
     times = np.arange(out) * (dt * stride)
     return times, qs[:, :out], ps[:, :out], ss[:, :out], \
         (noise if collect_noise else None)
@@ -882,10 +925,10 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
         np.subtract(bq, work, out=work)
         np.square(work, out=work)
         np.multiply(stiff, work, out=work)
-        coupling = 0.5 * np.sum(work, axis=1)
+        coupling = 0.5 * np.add.reduce(work, axis=1)
         np.square(bp, out=work)
         np.divide(work, bmass, out=work)
-        kinetic_bath = 0.5 * np.sum(work, axis=1)
+        kinetic_bath = 0.5 * np.add.reduce(work, axis=1)
         return 0.5 * p**2 + u(q) + kinetic_bath + coupling
 
     n_out = n_steps // stride + 1
@@ -901,7 +944,7 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
         np.copyto(work, q_col)
         np.subtract(bq, work, out=work)
         np.multiply(stiff, work, out=work)
-        np.sum(work, axis=1, out=total)
+        np.add.reduce(work, axis=1, out=total)
         np.multiply(work, half, out=hs)
         if grad is not None:
             np.subtract(total_col, grad(q_col), out=fq_col)
@@ -928,7 +971,7 @@ def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
     half_kicks()
     out = _step_chunks(n_steps, stride, [q, p, bq, bp, hf, hs], body,
                        lambda: np.isfinite(q).all() and np.isfinite(p).all(),
-                       store)
+                       store, 4096)
     times = np.arange(out) * (dt * stride)
     return times, qs[:, :out], ps[:, :out], None if es is None else es[:, :out]
 
@@ -1105,10 +1148,12 @@ def _write_csv(path, header, data):
     float array ``data``, each value written as the repr of a float."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        # row blocks bound the Python objects that tolist() creates
+        # one %-format per row block (the block bounds the Python objects
+        # that tolist() creates); %r is the repr of a float
+        line = ",".join(["%r"] * data.shape[1]) + "\r\n"
         for start in range(0, data.shape[0], 4096):
-            handle.writelines(",".join(map(repr, row)) + "\r\n"
-                              for row in data[start:start + 4096].tolist())
+            block = data[start:start + 4096]
+            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def trajectory_to_csv(traj, path):

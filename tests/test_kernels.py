@@ -16,7 +16,7 @@ from qgle.kernels import (
 )
 from qgle.model import solve_fdt_Q
 
-from conftest import random_prony_modes
+from conftest import random_prony_modes, random_rotation, rotate_auxiliary
 
 
 class TestKernelEval:
@@ -90,6 +90,45 @@ class TestNoiseCovariance:
         cov = noise_covariance_eval(coeffs, q_mat, 1.0, 0.0)
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n_modes", [1, 2, 4])
+class TestAuxiliaryRotation:
+    """The auxiliary variables are defined up to s -> U s (U orthogonal),
+    which maps Gamma -> T Gamma T', Sigma -> T Sigma and Q -> U Q U' with
+    T = diag(I_n, U); the kernel and the noise covariance must not move."""
+
+    LAGS = (0.0, 0.4, 1.3, 5.0)
+
+    def rotated(self, n, n_modes, seed):
+        rng = np.random.default_rng([seed, n, n_modes])
+        modes = zip(rng.uniform(0.1, 5.0, n_modes),
+                    rng.uniform(0.1, 5.0, n_modes))
+        coeffs, q_mat = coeffs_from_prony(modes, n=n)
+        u = random_rotation(rng, coeffs.m)
+        return rng, coeffs, q_mat, rotate_auxiliary(coeffs, u), u
+
+    def test_kernel_eval_is_invariant(self, n, n_modes):
+        _, coeffs, _, turned, _ = self.rotated(n, n_modes, 31)
+        kernel = MemoryKernel.from_coeffs(coeffs)
+        kernel_turned = MemoryKernel.from_coeffs(turned)
+        for tau in self.LAGS:
+            expected = kernel_eval(kernel, tau)
+            assert np.allclose(kernel_eval(kernel_turned, tau), expected,
+                               rtol=1e-10, atol=1e-12)
+
+    def test_noise_covariance_eval_is_invariant(self, n, n_modes):
+        rng, coeffs, q_mat, turned, u = self.rotated(n, n_modes, 32)
+        # the FDT solution Q = I, and a general SPD Q rotated with s
+        a = rng.standard_normal((coeffs.m, coeffs.m))
+        q_general = a @ a.T + coeffs.m * np.eye(coeffs.m)
+        beta = rng.uniform(0.5, 3.0)
+        for q_aux in (q_mat, q_general):
+            for tau in self.LAGS:
+                expected = noise_covariance_eval(coeffs, q_aux, beta, tau)
+                got = noise_covariance_eval(turned, u @ q_aux @ u.T, beta, tau)
+                assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestCoeffsFromProny:

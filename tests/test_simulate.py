@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,8 +402,16 @@ REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", REFERENCE_CASES)
-@pytest.mark.parametrize("replicas, stride", [(1, 3), (3, 1)])
+# (replicas, stride) per case; 300 position-dependent replicas span several
+# noise-budget chunks (218 steps each at n+m = 2, 145 at n+m = 3)
+REFERENCE_RUNS = [
+    pytest.param(case, replicas, stride, id=f"{replicas}-{stride}-{case}")
+    for case in REFERENCE_CASES
+    for replicas, stride in [(1, 3), (3, 1)]
+    + ([(300, 7)] if "posdep" in case else [])]
+
+
+@pytest.mark.parametrize("case, replicas, stride", REFERENCE_RUNS)
 def test_runs_match_reference_steps_bitwise(case, replicas, stride):
     # 4100 steps cross the 4096-step chunk boundary
     make_model, scheme = REFERENCE_CASES[case]
@@ -413,22 +422,24 @@ def test_runs_match_reference_steps_bitwise(case, replicas, stride):
     start = ExtendedState(q=np.linspace(0.3, 0.6, model.n),
                           p=np.linspace(0.5, -0.4, model.n),
                           s=np.full(model.m, -0.2))
-    singles = [simulate(model, integ, start, traj_index=r)
-               for r in range(replicas)]
+    if replicas == 1:
+        single = simulate(model, integ, start)
+        noise = single.noise[None]
+        replayed = replay_trajectory(model, single)
+        runs = [(t.times, t.q[None], t.p[None], t.s[None])
+                for t in (single, replayed)]
+    else:
+        # replica r's increments are the leading draws of its stream
+        noise = np.stack([
+            _philox(integ.seed, r).standard_normal((n_steps, model.n + model.m))
+            for r in range(replicas)])
+        result = simulate_ensemble(model, integ, start, replicas)
+        runs = [(result.times, result.q, result.p, result.s)]
     times, qs, ps, ss = reference_extended(
         model, scheme, integ.dt, n_steps, stride,
         np.tile(model.domain.reduce(start.q), (replicas, 1)),
         np.tile(start.p, (replicas, 1)), np.tile(start.s, (replicas, 1)),
-        np.stack([t.noise for t in singles]))
-    if replicas == 1:
-        runs = [(singles[0].times, singles[0].q[None], singles[0].p[None],
-                 singles[0].s[None])]
-        replayed = replay_trajectory(model, singles[0])
-        runs.append((replayed.times, replayed.q[None], replayed.p[None],
-                     replayed.s[None]))
-    else:
-        result = simulate_ensemble(model, integ, start, replicas)
-        runs = [(result.times, result.q, result.p, result.s)]
+        noise)
     for got in runs:
         for a, b in zip(got, (times, qs, ps, ss)):
             assert_same_bytes(a, b)
@@ -591,6 +602,47 @@ class TestSimulate:
             solo = simulate(model, integ, GibbsInit(), traj_index=r)
             assert np.array_equal(ens.q[r], solo.q)
             assert np.array_equal(ens.p[r], solo.p)
+
+    def test_position_dependent_noise_memory_is_bounded(self):
+        # the noise of a chunk is held once, in a buffer of at most 2^17
+        # values (1 MiB); 256 replicas x 4096 steps x 2 held whole (and
+        # once more while stacked) would be about 33 MB
+        model = _posdep_model()
+        integ = IntegratorSpec("euler_maruyama", dt=0.01, n_steps=4100,
+                               seed=5, stride=4100)
+        start = ExtendedState(q=[0.3], p=[0.5], s=[-0.2])
+        simulate_ensemble(model, integ, start, 2)  # builds the evaluator
+        tracemalloc.start()
+        try:
+            simulate_ensemble(model, integ, start, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
+    def test_wide_splitting_ensemble_groups_noise_by_4096_steps(self):
+        # at n+m = 34 the rows of a product of up to about 48 rows round
+        # differently from the same rows of a 4096-row product, so the
+        # 20-step tail of 4116 steps pins the library's grouping of each
+        # replica's increments to that of the reference: whole 4096-step
+        # chunks whatever the number of replicas.  (Solo runs are no
+        # reference here: their one-row products of the state round
+        # differently from the 8-row products of the ensemble.)
+        model = prony_model(modes=[(0.2 + 0.05 * i, 0.5 + 0.1 * i)
+                                   for i in range(33)])
+        replicas, n_steps, stride = 8, 4116, 41
+        integ = IntegratorSpec("semi_exact_splitting", dt=0.01,
+                               n_steps=n_steps, seed=23, stride=stride)
+        start = ExtendedState(q=[0.3], p=[0.5], s=np.full(33, -0.2))
+        ens = simulate_ensemble(model, integ, start, replicas)
+        noise = np.stack([_philox(integ.seed, r).standard_normal((n_steps, 34))
+                          for r in range(replicas)])
+        expected = reference_extended(
+            model, integ.scheme, integ.dt, n_steps, stride,
+            np.full((replicas, 1), 0.3), np.full((replicas, 1), 0.5),
+            np.full((replicas, 33), -0.2), noise)
+        for a, b in zip((ens.times, ens.q, ens.p, ens.s), expected):
+            assert_same_bytes(a, b)
 
     def test_torus_reduction_does_not_change_momenta(self):
         coeffs, q_mat = coeffs_from_prony([(1.0, 1.0)])
