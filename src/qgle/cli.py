@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import _bath_spectrum, load_config
 from .errors import QgleError
 from .ergodicity import (
     Certificate,
@@ -37,7 +37,6 @@ from .model import (
     ExtendedState,
     default_grid,
     purecolor_check,
-    solve_fdt_Q,
     stability_margin,
     verify_fdt,
 )
@@ -79,9 +78,9 @@ def _build_parser():
 
 
 def _out_path(args, config, default_name, key):
-    directory = args.out or config.output.get("directory", ".")
+    directory = args.out or config.output["directory"]
     os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, config.output.get(key, default_name))
+    return os.path.join(directory, config.output[key] or default_name)
 
 
 def _integrator(config, args):
@@ -104,15 +103,10 @@ def _start_state(model):
                          s=np.zeros(model.m))
 
 
-def _grid_for(config):
-    points = config.analysis.get("grid_points")
-    return default_grid(config.model.domain, points)
-
-
 def _certificates(config):
     model = config.model
     coeffs = model.coeffs
-    grid = _grid_for(config)
+    grid = default_grid(model.domain, config.analysis["grid_points"])
     certs = []
 
     margin = stability_margin(coeffs, grid)
@@ -221,22 +215,12 @@ def _cmd_fordkac(args):
     if not model.force.is_conservative:
         raise QgleError("fordkac needs a conservative model.force: the bath "
                         "run integrates a Hamiltonian")
-    from .kernels import FordKacSpectrum, fordkac_spectrum_for_exponential
-    spec_sec = section["spectrum"]  # validated by parse_config
-    if spec_sec["kind"] == "exponential":
-        spectrum = fordkac_spectrum_for_exponential(
-            float(spec_sec["c"]), float(spec_sec["alpha"]),
-            int(spec_sec["m_modes"]), float(spec_sec["omega_max"]))
-    else:
-        spectrum = FordKacSpectrum(tuple((k, w) for k, w in spec_sec["modes"]))
     seed = args.seed if args.seed is not None else (
         config.integrator.seed if config.integrator else 0)
-    dt = float(section.get("dt", config.integrator.dt if config.integrator else 1e-3))
-    traj = fordkac_simulate(model.force, spectrum, model.beta, dt,
-                            float(section["T"]), seed,
-                            q0=float(section.get("q0", 0.0)),
-                            p0=float(section.get("p0", 0.0)),
-                            stride=int(section.get("stride", 1)))
+    traj = fordkac_simulate(model.force, _bath_spectrum(section["spectrum"]),
+                            model.beta, section["dt"], section["T"], seed,
+                            q0=section["q0"], p0=section["p0"],
+                            stride=section["stride"])
     csv_path = _out_path(args, config, "fordkac.csv", "trajectory_csv")
     _write_csv(csv_path, ["t", "q", "p", "energy"],
                np.column_stack([traj.times, traj.q, traj.p, traj.energy]))
@@ -264,7 +248,7 @@ def _rate_fit_report(config, integ, model, observable, replicas):
                           s=np.zeros(model.m))
     ensemble = simulate_ensemble(model, integ, start, n_replicas=replicas)
     values = np.stack([observable(ensemble.q[r]) for r in range(replicas)])
-    mu = config.analysis.get("rate_mu")
+    mu = config.analysis["rate_mu"]
     if mu is None and model.force.is_conservative and model.n == 1 \
             and model.domain.is_torus:
         mu = gibbs_quadrature_mean(observable, model.force.potential,
@@ -291,20 +275,14 @@ def _cmd_analyze(args):
     }
     initial = _start_state(model)
     traj = simulate(model, integ, initial)
-    burn_in = float(config.analysis.get("burn_in", 0.1))
-    observable = None
-    if config.analysis.get("observable") and model.n == 1 \
-            and model.domain.is_torus:
-        from .expressions import compile_exprs, parse_expr, validate_expr
-        tree = parse_expr(config.analysis["observable"])
-        validate_expr(tree, model.n, model.domain.is_torus)
-        evaluator = compile_exprs([tree])
-
-        def observable(q):
-            return evaluator(q)[:, 0]
+    burn_in = config.analysis["burn_in"]
+    observable = config.analysis["observable"]
     if isinstance(initial, GibbsInit):
-        moments = gibbs_moment_test(traj, model, observable=observable,
-                                    burn_in=burn_in)
+        # the quadrature target of the observable exists on a 1-d torus
+        on_circle = model.n == 1 and model.domain.is_torus
+        moments = gibbs_moment_test(
+            traj, model, observable=observable if on_circle else None,
+            burn_in=burn_in)
         report["moments"] = {
             "z_pp": moments.z_pp.tolist(), "z_ss": moments.z_ss.tolist(),
             "z_ps": moments.z_ps.tolist(),
@@ -314,19 +292,18 @@ def _cmd_analyze(args):
         }
     skip = int(burn_in * len(traj))
     series = traj.p[skip:, 0]
-    method = config.analysis.get("sigma_method", "green_kubo_window")
-    sigma = clt_sigma(series, method=method, dt=integ.dt * integ.stride,
-                      n_batches=int(config.analysis.get("n_batches", 32)))
+    sigma = clt_sigma(series, method=config.analysis["sigma_method"],
+                      dt=integ.dt * integ.stride,
+                      n_batches=config.analysis["n_batches"])
     report["sigma"] = {"sigma2": sigma.sigma2, "stderr": sigma.stderr,
                        "method": sigma.method}
 
-    replicas = config.analysis.get("rate_replicas")
-    if replicas:
+    replicas = config.analysis["rate_replicas"]
+    if replicas is not None:
         report["rate_fit"] = _rate_fit_report(config, integ, model,
-                                              observable, int(replicas))
+                                              observable, replicas)
     text = json.dumps(report, sort_keys=True, indent=2)
-    path = config.output.get("report_json")
-    if path or args.out:
+    if config.output["report_json"] or args.out:
         report_path = _out_path(args, config, "report.json", "report_json")
         with open(report_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -339,7 +316,7 @@ def _cmd_figure_eigs(args):
     model = config.model
     if model.coeffs.constant:
         raise QgleError("figure-eigs needs position-dependent coefficients")
-    points = int(config.analysis.get("grid_points", 1001))
+    points = config.analysis["grid_points"] or 1001
     grid = np.linspace(0.0, 1.0, points)[:, None]
     c_mat = config.lyapunov_C
     if c_mat is None:

@@ -1,30 +1,32 @@
 """JSON run configuration: parsing, validation, model building.
 
-The format has five sections (model / coefficients / integrator / analysis /
-output) plus an optional ``fordkac`` section for the explicit-bath runner,
-which integrates the particle under ``model.force``.
-Matrices are row-major JSON arrays; coefficient matrices may instead name a
-builder (prony modes, the constructed torus example, a non-equilibrium
-block stack); position-dependent entries are expression strings from the
-closed family.  Every accepted key is read by this parser or by the CLI:
-``analysis`` holds the statistics and grid settings, ``output`` the output
-directory and file names.  The output format and the kernel export are
-CLI flags only (``--format``, ``--kernel-csv``).  Unknown keys anywhere are
-hard errors, duplicate keys are rejected at parse time, and syntax errors
-carry line/column positions.
+The only module that knows the format: five sections (model /
+coefficients / integrator / analysis / output) plus an optional ``fordkac``
+section for the explicit-bath runner, which integrates the particle under
+``model.force``.  Matrices are row-major JSON arrays; coefficient matrices
+may instead name a builder (prony modes, the constructed torus example, a
+non-equilibrium block stack); position-dependent entries are expression
+strings from the closed family.  Every scalar setting is read once, by a
+strict converter, and ``Config.analysis``, ``output`` and ``fordkac`` hold
+the converted values with their defaults filled in (README lists them).
+The output format and the kernel export are CLI flags only (``--format``,
+``--kernel-csv``).  Unknown keys anywhere are hard errors, duplicate keys
+are rejected at parse time, syntax errors carry line/column positions and
+every other error its key path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import QgleError
-from .expressions import parse_expr, validate_expr
+from .expressions import compile_exprs, parse_expr, validate_expr
 from .kernels import coeffs_from_prony
 from .model import (
     CoefficientField,
@@ -58,10 +60,10 @@ class ConfigError(QgleError):
 class Config:
     model: ModelSpec
     integrator: Optional[IntegratorSpec]
-    analysis: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-    fordkac: dict = field(default_factory=dict)
-    lyapunov_C: Optional[np.ndarray] = None
+    analysis: dict
+    output: dict
+    fordkac: dict
+    lyapunov_C: Optional[np.ndarray]
 
 
 def _no_duplicates(pairs):
@@ -85,26 +87,62 @@ def _expect_keys(mapping, required, optional, path):
     return mapping
 
 
-def _int(value, path):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected an integer, got {value!r}", path) from None
+def _int(value, path, least=None):
+    """An integer of at least ``least``: 4.0 counts, a bool, a string and
+    4.5 do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", path)
+    if least is not None and value < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise ConfigError(f"must be {bound}, got {value!r}", path)
+    return value
 
 
-def _float(value, path):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {value!r}", path) from None
+def _float(value, path, positive=False):
+    """A finite number (``json`` also reads NaN and Infinity), positive if
+    asked; neither a bool nor a string counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", path)
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
+    if positive and not value > 0:
+        raise ConfigError(f"must be positive, got {value!r}", path)
+    return float(value)
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}", path)
+    return value
+
+
+def _text(value, path, choices=None):
+    """A non-empty string, one of ``choices`` if given."""
+    if not (isinstance(value, str) and value) or choices and value not in choices:
+        wanted = " or ".join(choices) if choices else "a non-empty string"
+        raise ConfigError(f"expected {wanted}, got {value!r}", path)
+    return value
+
+
+def _setting(section, key, path, convert, default=None, **options):
+    """``convert`` of ``section[key]`` at ``path.key``, or ``default`` when
+    the key is absent."""
+    if key not in section:
+        return default
+    return convert(section[key], path=path + (key,), **options)
 
 
 def _matrix(value, path, shape=None):
+    """A matrix of finite numbers; bool and string entries do not count."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
+        arr = np.asarray(value)
+    except ValueError as err:
         raise ConfigError(f"not a numeric matrix: {err}", path) from None
-    arr = np.atleast_2d(arr)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ConfigError("not a matrix of finite numbers", path)
+    arr = np.atleast_2d(arr.astype(float))
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"expected shape {shape}, got {arr.shape}", path)
     return arr
@@ -118,6 +156,12 @@ def _expression(text, n, torus, path):
     except ValueError as err:
         raise ConfigError(str(err), path) from None
     return tree
+
+
+def _observable(text, n, torus, path):
+    """The function phi(q) of an expression entry, on (K, n) rows."""
+    evaluate = compile_exprs([_expression(text, n, torus, path)])
+    return lambda q: evaluate(q)[:, 0]
 
 
 def _build_force(section, n, torus, path):
@@ -147,12 +191,6 @@ def _build_force(section, n, torus, path):
     raise ConfigError(f"unknown force kind {kind!r}", path + ("kind",))
 
 
-def _example_torus_entries(sigma22):
-    gamma = [["0", "0-(2+cos(2*pi*q1))"], ["2+cos(2*pi*q1)", "1"]]
-    sigma = [["0", "0"], ["0", repr(float(sigma22))]]
-    return gamma, sigma
-
-
 def _build_coefficients(section, n, torus, path):
     """Returns (CoefficientField, Q or None, default C or None)."""
     if not isinstance(section, dict):
@@ -168,11 +206,10 @@ def _build_coefficients(section, n, torus, path):
             mode_path = path + ("modes", i)
             if isinstance(mode, dict):
                 _expect_keys(mode, ("c", "alpha"), (), mode_path)
-                modes.append((mode["c"], mode["alpha"]))
-            elif isinstance(mode, list) and len(mode) == 2:
-                modes.append((mode[0], mode[1]))
-            else:
+                mode = [mode["c"], mode["alpha"]]
+            elif not (isinstance(mode, list) and len(mode) == 2):
                 raise ConfigError("mode must be [c, alpha]", mode_path)
+            modes.append(tuple(_float(value, mode_path) for value in mode))
         try:
             coeffs, q_mat = coeffs_from_prony(modes, n=n)
         except (TypeError, ValueError) as err:
@@ -198,10 +235,11 @@ def _build_coefficients(section, n, torus, path):
         _expect_keys(section, ("kind",), ("sigma22", "Q"), path)
         if not (torus and n == 1):
             raise ConfigError("the torus example needs a 1-d torus domain", path)
-        sigma22 = _float(section.get("sigma22", math.sqrt(2.0)),
-                         path + ("sigma22",))
-        gamma, sigma = _example_torus_entries(sigma22)
-        coeffs = CoefficientField(1, 1, gamma_entries=gamma, sigma_entries=sigma)
+        sigma22 = _setting(section, "sigma22", path, _float, math.sqrt(2.0))
+        coeffs = CoefficientField(
+            1, 1, gamma_entries=[["0", "0-(2+cos(2*pi*q1))"],
+                                 ["2+cos(2*pi*q1)", "1"]],
+            sigma_entries=[["0", "0"], ["0", repr(sigma22)]])
         if q_given is not None:
             q_mat = _matrix(q_given, path + ("Q",), (1, 1))
         else:
@@ -233,7 +271,8 @@ def _build_coefficients(section, n, torus, path):
                            for r in rows):
                 raise ConfigError(f"{name} must be {dim}x{dim}", path + (name,))
             entries[name] = [[_expression(e, n, torus, path + (name, i, j))
-                              if isinstance(e, str) else e
+                              if isinstance(e, str)
+                              else _float(e, path + (name, i, j))
                               for j, e in enumerate(row)]
                              for i, row in enumerate(rows)]
         coeffs = CoefficientField(n, m, gamma_entries=entries["gamma"],
@@ -269,26 +308,75 @@ _SPECTRUM_KEYS = {"exponential": ("kind", "c", "alpha", "m_modes", "omega_max"),
                   "modes": ("kind", "modes")}
 
 
-def _check_spectrum(spec, path):
-    """The keys of the spectrum's kind, and positive numbers in them."""
+def _analysis(section, n, torus):
+    """The analysis settings, converted, with their defaults filled in."""
+    path = ("analysis",)
+    _expect_keys(section, (), _ANALYSIS_KEYS, path)
+    burn_in = _setting(section, "burn_in", path, _float, 0.1)
+    if not 0.0 <= burn_in < 1.0:
+        raise ConfigError(f"must lie in [0, 1), got {burn_in!r}",
+                          path + ("burn_in",))
+    return {
+        "burn_in": burn_in,
+        "n_batches": _setting(section, "n_batches", path, _int, 32, least=2),
+        "sigma_method": _setting(section, "sigma_method", path, _text,
+                                 "green_kubo_window",
+                                 choices=("green_kubo_window", "batch_means")),
+        "rate_replicas": _setting(section, "rate_replicas", path, _int,
+                                  least=2),
+        "rate_mu": _setting(section, "rate_mu", path, _float),
+        "grid_points": _setting(section, "grid_points", path, _int, least=1),
+        "observable": _setting(section, "observable", path, _observable,
+                               n=n, torus=torus),
+    }
+
+
+def _spectrum(spec, path):
+    """The bath spectrum with its numbers converted and checked positive."""
     _expect_keys(spec, ("kind",), _SPECTRUM_KEYS["exponential"] + ("modes",),
                  path)
-    if spec["kind"] not in ("exponential", "modes"):
+    kind = spec["kind"]
+    if kind not in ("exponential", "modes"):
         raise ConfigError("kind must be 'exponential' or 'modes'", path + ("kind",))
-    _expect_keys(spec, _SPECTRUM_KEYS[spec["kind"]], (), path)
-    if spec["kind"] == "exponential":
-        numbers = [(path + (key,), spec[key])
-                   for key in _SPECTRUM_KEYS["exponential"][1:]]
-    elif not (isinstance(spec["modes"], list) and all(
+    _expect_keys(spec, _SPECTRUM_KEYS[kind], (), path)
+    if kind == "exponential":
+        return {"kind": kind,
+                "c": _float(spec["c"], path + ("c",), positive=True),
+                "alpha": _float(spec["alpha"], path + ("alpha",), positive=True),
+                "m_modes": _int(spec["m_modes"], path + ("m_modes",), least=1),
+                "omega_max": _float(spec["omega_max"], path + ("omega_max",),
+                                    positive=True)}
+    if not (isinstance(spec["modes"], list) and all(
             isinstance(mode, list) and len(mode) == 2 for mode in spec["modes"])):
         raise ConfigError("modes must be an array of [k, omega] pairs",
                           path + ("modes",))
-    else:
-        numbers = [(path + ("modes", i), value)
-                   for i, mode in enumerate(spec["modes"]) for value in mode]
-    for where, value in numbers:
-        if not _float(value, where) > 0:
-            raise ConfigError(f"must be positive, got {value!r}", where)
+    return {"kind": kind, "modes": [
+        tuple(_float(value, path + ("modes", i), positive=True) for value in mode)
+        for i, mode in enumerate(spec["modes"])]}
+
+
+def _fordkac(section, integ):
+    """The fordkac settings, converted, with their defaults filled in."""
+    path = ("fordkac",)
+    _expect_keys(section, ("spectrum", "T"), _FORDKAC_KEYS, path)
+    return {
+        "spectrum": _spectrum(section["spectrum"], path + ("spectrum",)),
+        "T": _float(section["T"], path + ("T",), positive=True),
+        "dt": _setting(section, "dt", path, _float,
+                       integ.dt if integ else 1e-3, positive=True),
+        "q0": _setting(section, "q0", path, _float, 0.0),
+        "p0": _setting(section, "p0", path, _float, 0.0),
+        "stride": _setting(section, "stride", path, _int, 1, least=1),
+    }
+
+
+def _bath_spectrum(spec):
+    """The FordKacSpectrum of a spectrum that parse_config converted."""
+    from .kernels import FordKacSpectrum, fordkac_spectrum_for_exponential
+    if spec["kind"] == "exponential":
+        return fordkac_spectrum_for_exponential(
+            spec["c"], spec["alpha"], spec["m_modes"], spec["omega_max"])
+    return FordKacSpectrum(tuple(spec["modes"]))
 
 
 def parse_config(text):
@@ -310,14 +398,12 @@ def parse_config(text):
     domain_sec = _expect_keys(model_sec["domain"], ("kind", "dim"), (),
                               ("model", "domain"))
     try:
-        domain = Domain(domain_sec["kind"], int(domain_sec["dim"]))
-    except (TypeError, ValueError) as err:
+        domain = Domain(domain_sec["kind"],
+                        _int(domain_sec["dim"], ("model", "domain", "dim")))
+    except ValueError as err:
         raise ConfigError(str(err), ("model", "domain")) from None
     n = domain.dim
-    try:
-        beta = float(model_sec.get("beta", 1.0))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err), ("model", "beta")) from None
+    beta = _setting(model_sec, "beta", ("model",), _float, 1.0)
     mass = model_sec.get("mass")
     mass = np.eye(n) if mass is None else _matrix(mass, ("model", "mass"), (n, n))
     force = _build_force(model_sec["force"], n, domain.is_torus,
@@ -332,33 +418,37 @@ def parse_config(text):
 
     integ = None
     if "integrator" in raw:
+        path = ("integrator",)
         sec = _expect_keys(raw["integrator"], ("scheme", "dt", "n_steps"),
-                           ("seed", "store_noise", "stride"), ("integrator",))
+                           ("seed", "store_noise", "stride"), path)
         try:
             integ = IntegratorSpec(
-                scheme=sec["scheme"], dt=float(sec["dt"]),
-                n_steps=int(sec["n_steps"]), seed=int(sec.get("seed", 0)),
-                store_noise=bool(sec.get("store_noise", False)),
-                stride=int(sec.get("stride", 1)))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err), ("integrator",)) from None
+                scheme=sec["scheme"], dt=_float(sec["dt"], path + ("dt",)),
+                n_steps=_int(sec["n_steps"], path + ("n_steps",)),
+                seed=_setting(sec, "seed", path, _int, 0),
+                store_noise=_setting(sec, "store_noise", path, _bool, False),
+                stride=_setting(sec, "stride", path, _int, 1))
+        except ValueError as err:
+            raise ConfigError(str(err), path) from None
 
-    analysis = raw.get("analysis", {})
-    _expect_keys(analysis, (), _ANALYSIS_KEYS, ("analysis",))
-    output = raw.get("output", {})
-    _expect_keys(output, (), _OUTPUT_KEYS, ("output",))
-    fordkac = raw.get("fordkac", {})
-    if fordkac:
-        _expect_keys(fordkac, ("spectrum", "T"), _FORDKAC_KEYS, ("fordkac",))
-        _check_spectrum(fordkac["spectrum"], ("fordkac", "spectrum"))
-
-    lyap_c = analysis.get("lyapunov_C")
-    dim = coeffs.n + coeffs.m
-    lyap_c = (default_c if lyap_c is None
-              else _matrix(lyap_c, ("analysis", "lyapunov_C"), (dim, dim)))
-    return Config(model=model, integrator=integ, analysis=dict(analysis),
-                  output=dict(output), fordkac=dict(fordkac),
-                  lyapunov_C=lyap_c)
+    analysis_sec = raw.get("analysis", {})
+    analysis = _analysis(analysis_sec, n, domain.is_torus)
+    lyap_c = default_c
+    if "lyapunov_C" in analysis_sec:
+        path = ("analysis", "lyapunov_C")
+        if coeffs.constant:
+            raise ConfigError("constant coefficients take no certificate "
+                              "matrix: their Lyapunov matrix is solved", path)
+        lyap_c = _matrix(analysis_sec["lyapunov_C"], path,
+                         (coeffs.n + coeffs.m,) * 2)
+    output_sec = _expect_keys(raw.get("output", {}), (), _OUTPUT_KEYS,
+                              ("output",))
+    output = {key: _setting(output_sec, key, ("output",), _text,
+                            "." if key == "directory" else None)
+              for key in _OUTPUT_KEYS}
+    fordkac = _fordkac(raw["fordkac"], integ) if "fordkac" in raw else {}
+    return Config(model=model, integrator=integ, analysis=analysis,
+                  output=output, fordkac=fordkac, lyapunov_C=lyap_c)
 
 
 def load_config(path):

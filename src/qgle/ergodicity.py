@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10  # relative to the largest singular value
+_LYAPUNOV_RTOL = 1e-9  # residual bound of lyapunov_matrix_const
+_Q_RADIUS = 5.0  # half-width of the euclidean q cube of drift_samples
+_FD_RTOL = 1e-6  # closed-form vs finite-difference generator, relative
+_GROWTH_DIRECTIONS = 64  # sphere points per radius of potential_growth_check
+_GROWTH_TOL = 1e-9  # smallest growth rate E that potential_growth_check accepts
 
 
 @dataclass(frozen=True)
@@ -134,24 +139,24 @@ def schur_psd(a11, a12, a22):
 # Algebraic Hoermander conditions (constant coefficients)
 # ---------------------------------------------------------------------------
 
-def _rank(mat, tol=RANK_TOL):
-    """Numerical rank: the number of singular values above tol times the
-    largest (0 for an empty or zero matrix)."""
+def _rank(mat):
+    """Numerical rank: the number of singular values above RANK_TOL times
+    the largest (0 for an empty or zero matrix)."""
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
-def _krylov_rank(s, seeds, required, tol):
+def _krylov_rank(s, seeds, required):
     """Dimension of span{s^k v : v in seeds} iterated until it stabilizes."""
     dim = s.shape[0]
     vectors = [v for v in seeds if np.abs(v).max() > 0]
-    rank = _rank(np.reshape(vectors, (-1, dim)).T, tol)
+    rank = _rank(np.reshape(vectors, (-1, dim)).T)
     frontier = list(vectors)
     for _ in range(required):
         frontier = [s @ v for v in frontier]
-        new_rank = _rank(np.reshape(vectors + frontier, (-1, dim)).T, tol)
+        new_rank = _rank(np.reshape(vectors + frontier, (-1, dim)).T)
         if new_rank == rank:
             break
         vectors += frontier
@@ -161,7 +166,7 @@ def _krylov_rank(s, seeds, required, tol):
     return rank
 
 
-def hormander_const_check(coeffs, mode, H=None, rank_tol=RANK_TOL):
+def hormander_const_check(coeffs, mode, H=None):
     """Algebraic sufficient conditions for the parabolic Hoermander property.
 
     mode "i"  : with linear force data H, Krylov iteration of the lifted
@@ -190,8 +195,8 @@ def hormander_const_check(coeffs, mode, H=None, rank_tol=RANK_TOL):
     s2 = sigma[n:, :]
 
     if mode == "iii":
-        rank_s2 = _rank(s2, rank_tol)
-        rank_g12 = _rank(g12, rank_tol)
+        rank_s2 = _rank(s2)
+        rank_g12 = _rank(g12)
         achieved = rank_s2 + rank_g12
         required = m + n
         return Certificate(
@@ -209,7 +214,7 @@ def hormander_const_check(coeffs, mode, H=None, rank_tol=RANK_TOL):
         ])
         seeds = [np.concatenate([np.zeros(n), sigma[:, i]]) for i in range(dim)]
         required = 2 * n + m
-        achieved = _krylov_rank(s, seeds, required, rank_tol)
+        achieved = _krylov_rank(s, seeds, required)
         return Certificate(
             kind="hormander", satisfied=achieved >= required,
             margin=float(achieved - required),
@@ -232,7 +237,7 @@ def hormander_const_check(coeffs, mode, H=None, rank_tol=RANK_TOL):
         k_i = cap
         for k in range(cap + 1):
             p_part = np.abs(iterate[:n]).max() if n else 0.0
-            if p_part > rank_tol * max(1.0, np.abs(iterate).max()):
+            if p_part > RANK_TOL * max(1.0, np.abs(iterate).max()):
                 k_i = k
                 break
             iterate = gamma @ iterate
@@ -241,7 +246,7 @@ def hormander_const_check(coeffs, mode, H=None, rank_tol=RANK_TOL):
         for k in range(min(k_i, cap) + 1):
             vectors.append(iterate.copy())
             iterate = gamma @ iterate
-    achieved = _rank(np.reshape(vectors, (-1, dim)).T, rank_tol)
+    achieved = _rank(np.reshape(vectors, (-1, dim)).T)
     required = dim
     return Certificate(
         kind="hormander", satisfied=achieved >= required,
@@ -264,17 +269,17 @@ class LyapunovMatrix:
     residual: float
 
 
-def lyapunov_matrix_const(gamma, rhs=None, rtol=1e-9):
-    """Solve the continuous Lyapunov equation and rescale min eig(C) to 1.
+def lyapunov_matrix_const(gamma):
+    """Solve Gamma' C + C Gamma = I and rescale min eig(C) to 1.
 
-    Stability of -Gamma is checked first (it guarantees existence for SPD
-    right-hand sides).  The equation is solved by Bartels-Stewart; the
-    residual is re-verified by plain matrix multiplication, relative to the
-    scaled right-hand side.
+    Stability of -Gamma is checked first (it guarantees existence).  The
+    equation is solved by Bartels-Stewart; the residual is re-verified by
+    plain matrix multiplication, relative to the scaled right-hand side,
+    and must not exceed _LYAPUNOV_RTOL.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     dim = gamma.shape[0]
-    rhs = np.eye(dim) if rhs is None else _as_matrix(rhs, (dim, dim), "rhs")
+    rhs = np.eye(dim)
     eigs = np.linalg.eigvals(gamma)
     margin = float(eigs.real.min())
     if margin <= 0:
@@ -289,9 +294,10 @@ def lyapunov_matrix_const(gamma, rhs=None, rtol=1e-9):
     c_scaled = c / min_eig
     lam = 1.0 / min_eig
     defect = gamma.T @ c_scaled + c_scaled @ gamma - lam * rhs
-    residual = float(np.abs(defect).max() / max(1.0, abs(lam) * np.abs(rhs).max()))
-    if residual > rtol:
-        raise SolveFailureError(f"Lyapunov residual {residual:.3e} exceeds {rtol:.1e}")
+    residual = float(np.abs(defect).max() / max(1.0, abs(lam)))
+    if residual > _LYAPUNOV_RTOL:
+        raise SolveFailureError(f"Lyapunov residual {residual:.3e} exceeds "
+                                f"{_LYAPUNOV_RTOL:.1e}")
     return LyapunovMatrix(C=c_scaled, lam=lam, residual=residual)
 
 
@@ -299,9 +305,10 @@ def lyapunov_matrix_const(gamma, rhs=None, rtol=1e-9):
 # Sampled drift inequality
 # ---------------------------------------------------------------------------
 
-def drift_samples(model, n_samples=4096, radius=20.0, q_radius=5.0, seed=7):
-    """Deterministic low-discrepancy states: torus-uniform q (or a euclidean
-    ball of q_radius) and z in the ball of the given radius.
+def drift_samples(model, n_samples=4096, radius=20.0, seed=7):
+    """Deterministic low-discrepancy states: torus-uniform q (or the
+    euclidean cube of half-width _Q_RADIUS) and z in the ball of the given
+    radius.
 
     Returns (q, p, s) arrays of shapes (N, n), (N, n), (N, m).
     """
@@ -312,7 +319,7 @@ def drift_samples(model, n_samples=4096, radius=20.0, q_radius=5.0, seed=7):
     if model.domain.is_torus:
         q = u[:, :n]
     else:
-        q = q_radius * (2.0 * u[:, :n] - 1.0)
+        q = _Q_RADIUS * (2.0 * u[:, :n] - 1.0)
     from scipy.special import ndtri
     directions = ndtri(np.clip(u[:, n:n + d], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -465,8 +472,7 @@ class DriftConstants:
     notes: str = "sampled drift inequality; holds on the sample set only"
 
 
-def lyapunov_drift_constants(model, C, l, samples=None, quantile=0.5,
-                             potential_weight=1.0, u_min=None, fd_rtol=1e-6):
+def lyapunov_drift_constants(model, C, l, samples=None, potential_weight=1.0):
     """Fit drift constants (a, b) with L K <= -a K + b on sampled states.
 
     K is the quadratic torus family (z' C z)^l + 1 or, on euclidean domains,
@@ -476,10 +482,11 @@ def lyapunov_drift_constants(model, C, l, samples=None, quantile=0.5,
     closed form (polynomial calculus on the quadratic base); on every call,
     three sample points cross-check the result against a finite-difference
     assembly of the generator from spatial derivatives of K, and a relative
-    disagreement above ``fd_rtol`` raises NumericalFailureError.
+    disagreement above _FD_RTOL raises NumericalFailureError.  The
+    euclidean family's potential floor is the minimum of U over the samples.
 
     a is the smallest normalized dissipation over the high-K samples (above
-    the given quantile) after subtracting the low-K ceiling b0; b is then
+    the median of K) after subtracting the low-K ceiling b0; b is then
     raised just enough that the inequality holds on every sample.
     Raises InfeasibleError when a <= 0.
     """
@@ -498,8 +505,7 @@ def lyapunov_drift_constants(model, C, l, samples=None, quantile=0.5,
     else:
         if not model.force.is_conservative:
             raise ValueError("euclidean drift family needs a conservative force")
-        if u_min is None:
-            u_min = float(np.min(model.force.potential(q)))
+        u_min = float(np.min(model.force.potential(q)))
         cand = _EuclideanCandidate(C, l, model.force.potential,
                                    model.force.grad_potential,
                                    potential_weight, u_min)
@@ -511,12 +517,12 @@ def lyapunov_drift_constants(model, C, l, samples=None, quantile=0.5,
     for i in rng.choice(q.shape[0], size=3, replace=False):
         fd = _fd_generator(model, cand, q[i], p[i], s[i])
         scale = max(abs(fd), abs(l_vals[i]), 1.0)
-        if abs(fd - l_vals[i]) > fd_rtol * scale:
+        if abs(fd - l_vals[i]) > _FD_RTOL * scale:
             raise NumericalFailureError(
                 f"analytic generator {l_vals[i]:.6e} disagrees with the "
                 f"finite-difference assembly {fd:.6e} at sample {i}")
 
-    threshold = float(np.quantile(k_vals, quantile))
+    threshold = float(np.quantile(k_vals, 0.5))
     large = k_vals >= threshold
     small = ~large
     b0 = max(0.0, float(l_vals[small].max())) if small.any() else 0.0
@@ -736,7 +742,7 @@ def _sphere_directions(n, count, seed=11):
 
 
 def potential_growth_check(potential, grad_potential, n, radii, trial_D,
-                           n_directions=64, force=None, tol=1e-9):
+                           force=None):
     """Sampled growth certificate <q, grad V> >= D V + E |q|^2 + F.
 
     Directions are deterministic low-discrepancy points on the sphere,
@@ -758,7 +764,7 @@ def potential_growth_check(potential, grad_potential, n, radii, trial_D,
         raise ValueError("need at least two radii to assess the growth trend")
     trial_D = sorted(float(d) for d in np.atleast_1d(trial_D))
 
-    directions = _sphere_directions(n, n_directions)
+    directions = _sphere_directions(n, _GROWTH_DIRECTIONS)
     points = np.concatenate([r * directions for r in radii], axis=0)
     sphere_of = np.concatenate([np.full(len(directions), i)
                                 for i in range(len(radii))])
@@ -785,7 +791,7 @@ def potential_growth_check(potential, grad_potential, n, radii, trial_D,
         # by pair, so the largest E keeping the floor non-decreasing toward
         # the outer radius is the smallest consecutive difference quotient
         e_max = float(np.min(np.diff(floors0) / np.diff(sqnorm)))
-        if e_max > tol:
+        if e_max > _GROWTH_TOL:
             f_val = float(np.min(floors0 - e_max * sqnorm))
             best = (d, e_max, f_val)
         else:

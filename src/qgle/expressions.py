@@ -8,8 +8,8 @@ smooth by construction.
 
 Validation screens (both raise :class:`ExpressionError`):
 
-* division nodes whose denominator interval over ``[0, 1]^n`` contains zero
-  are rejected outright;
+* division nodes whose denominator interval contains zero are rejected
+  outright, the interval taken over ``[0, 1]^n`` on a torus, over R^n else;
 * on torus domains, ``q_i`` may appear only inside ``sin``/``cos`` whose
   argument is affine in ``q`` with every slope an integer multiple of ``2*pi``
   (this makes the entry 1-periodic in each component by construction).
@@ -80,6 +80,7 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCS = ("sin", "cos", "exp")
+_CYCLES_TOL = 1e-9  # torus screen: slope / (2 pi) must be this near an integer
 
 
 def _tokenize(text):
@@ -365,39 +366,51 @@ def max_q_index(expr):
     return max(max_q_index(expr.left), max_q_index(expr.right))
 
 
-def _interval(expr, n):
-    """Coarse interval envelope of ``expr`` over q in [0, 1]^n."""
+def _interval(expr, box):
+    """Coarse interval envelope of ``expr`` over q with every component in
+    ``box`` = (lo, hi), which may be (-inf, inf)."""
     if isinstance(expr, Num):
         return (expr.value, expr.value)
     if isinstance(expr, Var):
-        return (0.0, 1.0)
+        return box
     if isinstance(expr, Call):
-        lo, hi = _interval(expr.arg, n)
+        lo, hi = _interval(expr.arg, box)
         if expr.func == "exp":
-            return (math.exp(lo), math.exp(hi))
+            return (math.exp(lo) if lo < 709.78 else math.inf,
+                    math.exp(hi) if hi < 709.78 else math.inf)
         # envelope for sin/cos unless the argument interval is a point
-        if lo == hi:
+        if lo == hi and math.isfinite(lo):
             value = math.sin(lo) if expr.func == "sin" else math.cos(lo)
             return (value, value)
         return (-1.0, 1.0)
-    llo, lhi = _interval(expr.left, n)
-    rlo, rhi = _interval(expr.right, n)
-    if expr.op == "+":
-        return (llo + rlo, lhi + rhi)
-    if expr.op == "-":
-        return (llo - rhi, lhi - rlo)
+    llo, lhi = _interval(expr.left, box)
+    rlo, rhi = _interval(expr.right, box)
+    if expr.op in "+-":
+        lo, hi = ((llo + rlo, lhi + rhi) if expr.op == "+"
+                  else (llo - rhi, lhi - rlo))
+        # inf - inf: no bound, and no NaN passed on to a later screen
+        return (lo, hi) if lo == lo and hi == hi else (-math.inf, math.inf)
     if expr.op == "*":
+        if llo < 0.0 < lhi and expr.left == expr.right:
+            return (0.0, max(llo * llo, lhi * lhi))  # a square
         corners = (llo * rlo, llo * rhi, lhi * rlo, lhi * rhi)
+        if math.isnan(sum(corners)):
+            # 0 * inf is 0: a zero end is a value its factor takes
+            corners = [0.0 if a == 0.0 or b == 0.0 else a * b
+                       for a in (llo, lhi) for b in (rlo, rhi)]
         return (min(corners), max(corners))
-    if rlo <= 0.0 <= rhi:
-        raise ExpressionError("denominator interval over [0,1]^n contains zero")
+    if not (rlo > 0.0 or rhi < 0.0):
+        where = "[0,1]^n" if box == (0.0, 1.0) else "R^n"
+        raise ExpressionError(f"denominator interval over {where} contains zero")
     corners = (llo / rlo, llo / rhi, lhi / rlo, lhi / rhi)
+    if math.isnan(sum(corners)):  # inf / inf: no bound, and no NaN passed on
+        return (-math.inf, math.inf)
     return (min(corners), max(corners))
 
 
 def screen_division(expr, n):
     """Reject expressions whose denominators can vanish on [0, 1]^n."""
-    _interval(expr, n)
+    _interval(expr, (0.0, 1.0))
 
 
 def _affine(expr):
@@ -434,7 +447,7 @@ def _affine(expr):
     return ({i: s / rconst for i, s in lslopes.items()}, lconst / rconst)
 
 
-def _torus_safe(expr, tol):
+def _torus_safe(expr):
     if isinstance(expr, Num):
         return True
     if isinstance(expr, Var):
@@ -443,26 +456,26 @@ def _torus_safe(expr, tol):
         if max_q_index(expr.arg) < 0:
             return True
         if expr.func == "exp":
-            return _torus_safe(expr.arg, tol)  # exp of q is never periodic
+            return _torus_safe(expr.arg)  # exp of q is never periodic
         affine = _affine(expr.arg)
         if affine is None:
             return False
         slopes, _ = affine
         for slope in slopes.values():
             cycles = slope / (2.0 * math.pi)
-            if abs(cycles - round(cycles)) > tol:
+            if abs(cycles - round(cycles)) > _CYCLES_TOL:
                 return False
         return True
-    return _torus_safe(expr.left, tol) and _torus_safe(expr.right, tol)
+    return _torus_safe(expr.left) and _torus_safe(expr.right)
 
 
-def screen_torus_periodicity(expr, tol=1e-9):
+def screen_torus_periodicity(expr):
     """Reject entries that are not 1-periodic by construction.
 
     q components must occur only inside sin/cos whose argument is affine in q
     with slopes in 2*pi*Z.
     """
-    if not _torus_safe(expr, tol):
+    if not _torus_safe(expr):
         raise ExpressionError(
             "on a torus, q components may appear only inside sin/cos of "
             "integer multiples of 2*pi*q_i"
@@ -470,10 +483,11 @@ def screen_torus_periodicity(expr, tol=1e-9):
 
 
 def validate_expr(expr, n, torus):
-    """Run all validation screens for an entry used on an n-dimensional domain."""
+    """Run all validation screens for an entry used on an n-dimensional
+    domain (the division screen over R^n on a euclidean one)."""
     top = max_q_index(expr)
     if top >= n:
         raise ExpressionError(f"expression uses q{top + 1} but the domain has dim {n}")
-    screen_division(expr, n)
+    _interval(expr, (0.0, 1.0) if torus else (-math.inf, math.inf))
     if torus:
         screen_torus_periodicity(expr)

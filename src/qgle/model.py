@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 PD_EIG_TOL = 1e-12  # relative to the matrix max-norm
+_FDT_RTOL = 1e-9  # white and coupling defects of solve_fdt_Q, relative
+_G11_ZERO_TOL = 1e-12  # purecolor_check: G11 counts as zero below this, relative
 
 
 def _as_matrix(a, shape=None, name="matrix"):
@@ -437,7 +439,7 @@ def _solve_lyapunov(a, rhs):
     return 0.5 * (x + x.T)
 
 
-def solve_fdt_Q(coeffs, rtol=1e-9):
+def solve_fdt_Q(coeffs):
     """Solve the block fluctuation-dissipation equations for Q.
 
     The auxiliary block ``G22 Q + Q G22' = S2 S2'`` is solved by
@@ -461,7 +463,7 @@ def solve_fdt_Q(coeffs, rtol=1e-9):
     res_white = np.abs(g11 + g11.T - s1 @ s1.T).max() if n else 0.0
     res_coupling = np.abs(g12 @ q + g21.T - s1 @ s2.T).max()
     res_aux = np.abs(g22 @ q + q @ g22.T - s2 @ s2.T).max()
-    if res_white > rtol * scale or res_coupling > rtol * scale:
+    if res_white > _FDT_RTOL * scale or res_coupling > _FDT_RTOL * scale:
         raise InconsistentError(
             "fluctuation-dissipation blocks are inconsistent: white defect "
             f"{res_white:.3e}, coupling defect {res_coupling:.3e}")
@@ -489,7 +491,7 @@ NOT_APPLICABLE = object()
 """Marker returned by purecolor_check when G11 does not vanish."""
 
 
-def purecolor_check(coeffs, Q, grid=None, tol=1e-12):
+def purecolor_check(coeffs, Q, grid=None):
     """Constraint forced by FDT in the absence of a white-noise block.
 
     With G11 = 0 everywhere, positive semidefiniteness of the block relation
@@ -500,7 +502,7 @@ def purecolor_check(coeffs, Q, grid=None, tol=1e-12):
     Q = _as_matrix(Q, (coeffs.m, coeffs.m), "Q")
     g = coeffs.gamma(grid)
     g11, g12, g21, _ = coeffs.blocks(g)
-    if np.abs(g11).max() > tol * max(1.0, np.abs(g).max()):
+    if np.abs(g11).max() > _G11_ZERO_TOL * max(1.0, np.abs(g).max()):
         return NOT_APPLICABLE
     violation = g12 @ Q + np.swapaxes(g21, -1, -2)
     return float(np.abs(violation).max())

@@ -32,6 +32,9 @@ __all__ = [
     "geometric_rate_fit",
 ]
 
+_QUADRATURE_POINTS = 20001  # rectangle rule of gibbs_quadrature_mean
+_RATE_TAIL_FRACTION = 0.2  # trailing share of the means that estimates mu
+
 
 @dataclass(frozen=True)
 class AutocovEstimate:
@@ -151,13 +154,13 @@ class GibbsMomentReport:
         return float(max(zs))
 
 
-def gibbs_quadrature_mean(observable, potential, beta, n_points=20001):
+def gibbs_quadrature_mean(observable, potential, beta):
     """1-D quadrature of int phi e^{-beta U} / int e^{-beta U} on the torus.
 
-    Uniform rectangle rule; spectrally accurate for smooth periodic
-    integrands.
+    Uniform rectangle rule on _QUADRATURE_POINTS points; spectrally accurate
+    for smooth periodic integrands.
     """
-    grid = np.linspace(0.0, 1.0, n_points, endpoint=False)[:, None]
+    grid = np.linspace(0.0, 1.0, _QUADRATURE_POINTS, endpoint=False)[:, None]
     u_vals = np.asarray(potential(grid), dtype=float)
     weights = np.exp(-beta * (u_vals - u_vals.min()))
     phi = np.asarray(observable(grid), dtype=float)
@@ -309,14 +312,14 @@ class RateFit:
     mu: float
 
 
-def geometric_rate_fit(times, ensemble_values, mu=None, tail_fraction=0.2):
+def geometric_rate_fit(times, ensemble_values, mu=None):
     """Fit C e^{-kappa t} to |ensemble mean - mu| while it beats its noise.
 
     ``ensemble_values`` is (R, K) over R >= 2 trajectories on a common time
     grid.  The fit window runs from the start until the signal first drops
     below 3x its ensemble standard error; raises NoSignalError when the
     window is empty (ensemble already equilibrated).  When ``mu`` is None it
-    is co-estimated from the trailing ``tail_fraction`` of the means.
+    is co-estimated from the trailing _RATE_TAIL_FRACTION of the means.
     """
     times = np.asarray(times, dtype=float)
     values = np.atleast_2d(np.asarray(ensemble_values, dtype=float))
@@ -326,7 +329,7 @@ def geometric_rate_fit(times, ensemble_values, mu=None, tail_fraction=0.2):
     mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(r)
     if mu is None:
-        tail = max(1, int(tail_fraction * k))
+        tail = max(1, int(_RATE_TAIL_FRACTION * k))
         mu = float(mean[-tail:].mean())
     signal = np.abs(mean - mu)
     above = signal > 3.0 * se

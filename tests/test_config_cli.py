@@ -8,6 +8,7 @@ from qgle.cli import dispatch
 from qgle.config import EXAMPLE_TORUS_C, ConfigError, load_config, parse_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 def config_path(name):
@@ -89,6 +90,122 @@ class TestParseConfig:
                 + qgle.config._FORDKAC_KEYS)
         unread = [key for key in keys if f'"{key}"' not in sources]
         assert unread == []
+
+    def test_every_analysis_and_fordkac_key_is_read_by_config(self):
+        # qgle.config alone knows the format: each analysis and fordkac key
+        # is quoted there outside the tuples that declare it
+        import ast
+        import inspect
+
+        import qgle.config
+
+        declared = ("_ANALYSIS_KEYS", "_OUTPUT_KEYS", "_FORDKAC_KEYS")
+        tree = ast.parse(inspect.getsource(qgle.config))
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.Assign) and any(
+                         getattr(target, "id", None) in declared
+                         for target in node.targets))]
+        quoted = {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)}
+        keys = qgle.config._ANALYSIS_KEYS + qgle.config._FORDKAC_KEYS
+        assert [key for key in keys if key not in quoted] == []
+
+    @pytest.mark.parametrize("path, value", [
+        (("integrator", "store_noise"), "false"),
+        (("integrator", "n_steps"), 1000.9),
+        (("integrator", "seed"), 3.7),
+        (("integrator", "stride"), True),
+        (("integrator", "dt"), float("inf")),
+        (("model", "beta"), "1"),
+        (("model", "domain", "dim"), 1.5),
+        (("fordkac", "spectrum", "m_modes"), 16.5),
+        (("fordkac", "T"), 0),
+        (("fordkac", "dt"), -1.0),
+        (("fordkac", "q0"), "0"),
+        (("fordkac", "stride"), 0),
+        (("analysis", "burn_in"), 1.0),
+        (("analysis", "burn_in"), -0.1),
+        (("analysis", "burn_in"), 2.0),
+        (("analysis", "n_batches"), 1),
+        (("analysis", "n_batches"), "x"),
+        (("analysis", "sigma_method"), "bogus"),
+        (("analysis", "rate_replicas"), 1),
+        (("analysis", "rate_replicas"), 2.5),
+        (("analysis", "rate_mu"), float("nan")),
+        (("analysis", "grid_points"), 0),
+        (("analysis", "observable"), "cos(2*pi*q2)"),
+        (("analysis", "observable"), 1.0),
+        (("analysis", "lyapunov_C"), [[1.0, 0.0], [0.0, 1.0]]),
+        (("output", "directory"), 5),
+        (("model", "mass"), [[True]]),
+        (("coefficients", "modes", 0), ["1", 1.0]),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_bad_values_fail_at_parse_time_with_their_key_path(self, path,
+                                                                value):
+        name = "fordkac.json" if path[0] == "fordkac" else "prony.json"
+        with open(config_path(name)) as handle:
+            raw = json.load(handle)
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.path == path
+        assert str(err.value).startswith(".".join(map(str, path)) + ": ")
+
+    def test_settings_come_converted_with_their_defaults(self):
+        raw = json.loads(golden_text())
+        raw["integrator"].update({"n_steps": 1000.0, "seed": 4.0})
+        raw["analysis"] = {}
+        del raw["output"]
+        config = parse_config(json.dumps(raw))
+        assert (config.integrator.n_steps, config.integrator.seed) == (1000, 4)
+        assert type(config.integrator.n_steps) is int
+        assert config.analysis == {
+            "burn_in": 0.1, "n_batches": 32,
+            "sigma_method": "green_kubo_window", "rate_replicas": None,
+            "rate_mu": None, "grid_points": None, "observable": None}
+        assert config.output == {"directory": ".", "trajectory_csv": None,
+                                 "noise_sidecar": None, "report_json": None,
+                                 "figure_csv": None}
+        assert config.fordkac == {}
+        with open(config_path("fordkac.json")) as handle:
+            raw = json.load(handle)
+        for key in ("dt", "q0", "p0", "stride"):
+            del raw["fordkac"][key]
+        fordkac = parse_config(json.dumps(raw)).fordkac
+        assert (fordkac["dt"], fordkac["q0"], fordkac["p0"],
+                fordkac["stride"]) == (1e-3, 0.0, 0.0, 1)
+
+    def test_division_screen_covers_the_real_line_on_euclidean_domains(
+            self, tmp_path, capsys):
+        raw = json.loads(golden_text())
+        raw["model"]["domain"]["kind"] = "euclidean"
+        raw["model"]["force"] = {"kind": "nonconservative",
+                                 "components": ["1/(q1-2)"]}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(raw))
+        assert dispatch(["check", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: model.force.components.0: ")
+        raw["model"]["force"]["components"] = ["1/(2+cos(q1))"]
+        parse_config(json.dumps(raw))
+
+    def test_shipped_configs_and_bench_inputs_parse(self, monkeypatch):
+        import importlib
+
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            load_config(config_path(name))
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        for name in ("chain", "posdep_ensemble", "kernel_sweep",
+                     "fordkac_bath"):
+            workload = importlib.import_module(name)
+            for size in workload.SIZES:
+                inputs = workload.make_inputs(1, 0, size)
+                for spec in inputs.get("models", [inputs]):
+                    parse_config(spec["config_text"])
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError) as err:
@@ -451,6 +568,60 @@ class TestDispatch:
         report = json.loads(capsys.readouterr().out)
         assert report["rate_fit"]["status"] == "fitted"
         assert report["rate_fit"]["kappa"] > 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_method", "bogus"), ("n_batches", "x"), ("burn_in", 2.0)])
+    def test_analyze_rejects_bad_settings_before_simulating(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        import qgle.cli as cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran on a bad setting")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        raw = json.loads(golden_text())
+        raw["analysis"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert dispatch(["analyze", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: analysis.{key}: ")
+
+    def test_rate_fit_uses_the_observable_on_a_2d_torus(self, tmp_path,
+                                                         monkeypatch):
+        import importlib
+
+        import qgle.stats
+
+        simulate_module = importlib.import_module("qgle.simulate")
+        ensembles, fitted = [], []
+        run_ensemble = simulate_module.simulate_ensemble
+
+        def recording_ensemble(*args, **kwargs):
+            ensembles.append(run_ensemble(*args, **kwargs))
+            return ensembles[-1]
+
+        def recording_fit(times, values, mu=None):
+            fitted.append(values)
+            return qgle.stats.RateFit(kappa=1.0, r_squared=1.0,
+                                      window=(0, 3), mu=0.0)
+
+        monkeypatch.setattr(simulate_module, "simulate_ensemble",
+                            recording_ensemble)
+        monkeypatch.setattr(qgle.stats, "geometric_rate_fit", recording_fit)
+        raw = json.loads(golden_text())
+        raw["model"]["domain"]["dim"] = 2
+        raw["model"]["mass"] = [[1.0, 0.0], [0.0, 1.0]]
+        raw["model"]["force"]["potential"] = "cos(2*pi*q1)+cos(2*pi*q2)"
+        raw["integrator"]["n_steps"] = 200
+        raw["analysis"].update({"observable": "sin(2*pi*q2)",
+                                "rate_replicas": 4})
+        path = tmp_path / "torus2.json"
+        path.write_text(json.dumps(raw))
+        dispatch(["analyze", "--config", str(path)])
+        q = ensembles[0].q
+        assert len(fitted) == 1
+        np.testing.assert_allclose(fitted[0], np.sin(2.0 * np.pi * q[..., 1]),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert dispatch(["frobnicate"]) == 2

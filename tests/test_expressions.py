@@ -66,6 +66,18 @@ def test_division_screen_allows_safe_denominator():
     screen_division(parse_expr("1/(2+q1)"), 1)
 
 
+def test_euclidean_division_screen_covers_the_real_line():
+    # singular only off [0, 1]: the torus screen passes it, R^n does not
+    screen_division(parse_expr("1/(q1-2)"), 1)
+    for text in ("1/(q1-2)", "1/(0*q1)", "1/(q1*exp(q1))",
+                 "1/(1e999-1e999)"):
+        with pytest.raises(ExpressionError):
+            validate_expr(parse_expr(text), 1, torus=False)
+    for text in ("1/(2+cos(q1))", "1/(1+q1*q1)", "1/(1+exp(q1)*exp(q1))"):
+        validate_expr(parse_expr(text), 1, torus=False)
+    validate_expr(parse_expr("1/(2+cos(2*pi*q1))"), 1, torus=True)
+
+
 def test_parse_errors_have_positions():
     with pytest.raises(ExpressionError) as err:
         parse_expr("2+cos(2*pi*q1")
