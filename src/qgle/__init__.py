@@ -3,8 +3,8 @@
 Extended-phase-space models with memory friction and colored noise:
 fluctuation-dissipation algebra, memory-kernel conversions, ergodicity
 certificates (stability, hypoellipticity, Lyapunov drift), SDE integrators
-with exact noise maps, an explicit harmonic-bath simulator, and statistical
-diagnostics for the invariant measure and convergence rates.
+with exact noise maps, an explicit harmonic bath (``fordkac``), and
+statistical diagnostics for the invariant measure and convergence rates.
 """
 
 __version__ = "0.1.0"
@@ -24,11 +24,8 @@ from .model import (
     verify_fdt,
 )
 from .kernels import (
-    FordKacSpectrum,
     MemoryKernel,
     coeffs_from_prony,
-    fordkac_kernel,
-    fordkac_spectrum_for_exponential,
     kernel_eval,
     noise_covariance_eval,
     noneq_kernels,
@@ -50,14 +47,19 @@ from .simulate import (
     IntegratorSpec,
     Trajectory,
     colored_noise_path,
-    fordkac_simulate,
-    fordkac_vs_gle,
     ide_residual_check,
     sample_gibbs,
     simulate,
     simulate_ensemble,
     step_euler,
     step_splitting,
+)
+from .fordkac import (
+    FordKacSpectrum,
+    fordkac_kernel,
+    fordkac_simulate,
+    fordkac_spectrum_for_exponential,
+    fordkac_vs_gle,
 )
 from .stats import (
     autocovariance,

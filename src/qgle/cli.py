@@ -31,6 +31,7 @@ from .ergodicity import (
     posdep_certificate_search,
     posdep_certificate_verify,
 )
+from .fordkac import fordkac_simulate
 from .kernels import MemoryKernel, kernel_eval
 from .model import (
     NOT_APPLICABLE,
@@ -43,7 +44,6 @@ from .model import (
 from .simulate import (
     GibbsInit,
     _write_csv,
-    fordkac_simulate,
     simulate,
     trajectory_to_csv,
     write_noise_sidecar,

@@ -12,7 +12,9 @@ the converted values with their defaults filled in (README lists them).
 The output format and the kernel export are CLI flags only (``--format``,
 ``--kernel-csv``).  Unknown keys anywhere are hard errors, duplicate keys
 are rejected at parse time, syntax errors carry line/column positions and
-every other error its key path.
+every other error its key path.  This module only converts JSON types:
+the objects it builds check their own inputs (ranges, expression screens)
+and name the field at fault, which ``_build`` joins to the key path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .errors import QgleError
 from .expressions import compile_exprs, parse_expr, validate_expr
-from .kernels import coeffs_from_prony
+from .fordkac import FordKacSpectrum, fordkac_spectrum_for_exponential
+from .kernels import coeffs_from_prony, noneq_kernels
 from .model import (
     CoefficientField,
     Domain,
@@ -148,23 +151,27 @@ def _matrix(value, path, shape=None):
     return arr
 
 
-def _expression(text, n, torus, path):
-    """Parse and validate one expression entry."""
+def _build(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; an error it raises becomes a ConfigError at
+    ``path`` (or where the dict ``path`` maps its first key) + its field path."""
     try:
-        tree = parse_expr(text)
-        validate_expr(tree, n, torus)
-    except ValueError as err:
-        raise ConfigError(str(err), path) from None
-    return tree
+        return build(*args, **kwargs)
+    except (ValueError, QgleError) as err:
+        where = getattr(err, "path", ())
+        if isinstance(path, dict):
+            path, where = path[where[0]], where[1:]
+        raise ConfigError(str(err), path + where) from None
 
 
 def _observable(text, n, torus, path):
     """The function phi(q) of an expression entry, on (K, n) rows."""
-    evaluate = compile_exprs([_expression(text, n, torus, path)])
+    tree = _build(path, parse_expr, text)
+    _build(path, validate_expr, tree, n, torus)
+    evaluate = compile_exprs([tree])
     return lambda q: evaluate(q)[:, 0]
 
 
-def _build_force(section, n, torus, path):
+def _build_force(section, n, path):
     if not isinstance(section, dict):
         raise ConfigError("expected an object", path)
     kind = section.get("kind")
@@ -175,19 +182,16 @@ def _build_force(section, n, torus, path):
         return ForceField.zero(n)
     if kind == "conservative":
         _expect_keys(section, ("kind", "potential"), ("linear_part",), path)
-        tree = _expression(section["potential"], n, torus, path + ("potential",))
-        return ForceField.from_potential_expr(tree, n, linear_part=linear)
+        return _build(path, ForceField.from_potential_expr,
+                      section["potential"], n, linear_part=linear)
     if kind == "harmonic":
         _expect_keys(section, ("kind", "stiffness"), (), path)
-        return ForceField.harmonic(_matrix(section["stiffness"], path + ("stiffness",), (n, n)))
+        return _build(path, ForceField.harmonic, _matrix(
+            section["stiffness"], path + ("stiffness",), (n, n)))
     if kind == "nonconservative":
         _expect_keys(section, ("kind", "components"), ("linear_part",), path)
-        comps = section["components"]
-        if len(comps) != n:
-            raise ConfigError(f"need {n} force components", path + ("components",))
-        trees = [_expression(comp, n, torus, path + ("components", i))
-                 for i, comp in enumerate(comps)]
-        return ForceField.nonconservative(n, trees, linear_part=linear)
+        return _build(path, ForceField.nonconservative, n,
+                      section["components"], linear_part=linear)
     raise ConfigError(f"unknown force kind {kind!r}", path + ("kind",))
 
 
@@ -196,7 +200,8 @@ def _build_coefficients(section, n, torus, path):
     if not isinstance(section, dict):
         raise ConfigError("expected an object", path)
     kind = section.get("kind")
-    q_given = section.get("Q")
+    q_given = section.get("Q")  # its shape is ModelSpec's to check
+    q_given = None if q_given is None else _matrix(q_given, path + ("Q",))
     if kind == "prony":
         _expect_keys(section, ("kind", "modes"), ("Q",), path)
         if not isinstance(section["modes"], list):
@@ -210,49 +215,39 @@ def _build_coefficients(section, n, torus, path):
             elif not (isinstance(mode, list) and len(mode) == 2):
                 raise ConfigError("mode must be [c, alpha]", mode_path)
             modes.append(tuple(_float(value, mode_path) for value in mode))
-        try:
-            coeffs, q_mat = coeffs_from_prony(modes, n=n)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err), path + ("modes",)) from None
+        coeffs, q_mat = _build(path + ("modes",), coeffs_from_prony, modes, n=n)
         return coeffs, q_mat, None
     if kind == "constant":
         _expect_keys(section, ("kind", "m", "gamma", "sigma"), ("Q",), path)
         m = _int(section["m"], path + ("m",))
         dim = n + m
-        coeffs = CoefficientField(
-            n, m, gamma=_matrix(section["gamma"], path + ("gamma",), (dim, dim)),
+        coeffs = _build(
+            path, CoefficientField, n, m,
+            gamma=_matrix(section["gamma"], path + ("gamma",), (dim, dim)),
             sigma=_matrix(section["sigma"], path + ("sigma",), (dim, dim)))
-        q_mat = None
-        if q_given is not None:
-            q_mat = _matrix(q_given, path + ("Q",), (m, m))
-        else:
-            try:
-                q_mat = solve_fdt_Q(coeffs).Q
-            except QgleError:
-                q_mat = None  # non-equilibrium coefficients are allowed
+        try:
+            q_mat = q_given if q_given is not None else solve_fdt_Q(coeffs).Q
+        except QgleError:
+            q_mat = None  # non-equilibrium coefficients are allowed
         return coeffs, q_mat, None
     if kind == "example_torus":
         _expect_keys(section, ("kind",), ("sigma22", "Q"), path)
         if not (torus and n == 1):
             raise ConfigError("the torus example needs a 1-d torus domain", path)
         sigma22 = _setting(section, "sigma22", path, _float, math.sqrt(2.0))
-        coeffs = CoefficientField(
-            1, 1, gamma_entries=[["0", "0-(2+cos(2*pi*q1))"],
-                                 ["2+cos(2*pi*q1)", "1"]],
-            sigma_entries=[["0", "0"], ["0", repr(sigma22)]])
-        if q_given is not None:
-            q_mat = _matrix(q_given, path + ("Q",), (1, 1))
-        else:
+        coeffs = _build(path, CoefficientField, 1, 1,
+                        gamma_entries=[["0", "0-(2+cos(2*pi*q1))"],
+                                       ["2+cos(2*pi*q1)", "1"]],
+                        sigma_entries=[["0", "0"], ["0", repr(sigma22)]])
+        q_mat = q_given
+        if q_mat is None:
             # snapshot blocks at q = 0 determine the only candidate Q; the
             # full grid relation is checked afterwards (the literal published
             # noise value sigma22 = 1 fails here: the auxiliary block wants
             # Q = 1/2 while the coupling block wants Q = 1)
             snapshot = CoefficientField(1, 1, gamma=coeffs.gamma(np.zeros(1)),
                                         sigma=coeffs.sigma(np.zeros(1)))
-            try:
-                q_mat = solve_fdt_Q(snapshot).Q
-            except QgleError as err:
-                raise ConfigError(str(err), path) from None
+            q_mat = _build(path, solve_fdt_Q, snapshot).Q
             residual = verify_fdt(coeffs, q_mat, default_grid(Domain("torus", 1)))
             if residual > 1e-9:
                 raise ConfigError(
@@ -262,23 +257,10 @@ def _build_coefficients(section, n, torus, path):
     if kind == "position_dependent":
         _expect_keys(section, ("kind", "m", "gamma", "sigma"), ("Q",), path)
         m = _int(section["m"], path + ("m",))
-        dim = n + m
-        entries = {}
-        for name in ("gamma", "sigma"):
-            rows = section[name]
-            if not isinstance(rows, list) or len(rows) != dim \
-                    or any(not isinstance(r, list) or len(r) != dim
-                           for r in rows):
-                raise ConfigError(f"{name} must be {dim}x{dim}", path + (name,))
-            entries[name] = [[_expression(e, n, torus, path + (name, i, j))
-                              if isinstance(e, str)
-                              else _float(e, path + (name, i, j))
-                              for j, e in enumerate(row)]
-                             for i, row in enumerate(rows)]
-        coeffs = CoefficientField(n, m, gamma_entries=entries["gamma"],
-                                  sigma_entries=entries["sigma"])
-        q_mat = None if q_given is None else _matrix(q_given, path + ("Q",), (m, m))
-        return coeffs, q_mat, None
+        coeffs = _build(path, CoefficientField, n, m,
+                        gamma_entries=section["gamma"],
+                        sigma_entries=section["sigma"])
+        return coeffs, q_given, None
     if kind == "noneq":
         _expect_keys(section, ("kind", "m_hat", "gamma1", "gamma2", "sigma"),
                      (), path)
@@ -289,8 +271,8 @@ def _build_coefficients(section, n, torus, path):
                           path + ("gamma2",))
         sg = _expect_keys(section["sigma"], ("s11", "s22"), (),
                           path + ("sigma",))
-        from .kernels import noneq_kernels
-        pair = noneq_kernels(
+        pair = _build(
+            path, noneq_kernels,
             (_matrix(g1["g11"], path, (n, n)), _matrix(g1["g12"], path, (n, mh)),
              _matrix(g1["g21"], path, (mh, n)), _matrix(g1["g22"], path, (mh, mh))),
             (_matrix(g2["g12"], path, (n, mh)), _matrix(g2["g22"], path, (mh, mh))),
@@ -299,6 +281,10 @@ def _build_coefficients(section, n, torus, path):
     raise ConfigError(f"unknown coefficients kind {kind!r}", path + ("kind",))
 
 
+# the key path in the file of each field of a ModelSpec
+_MODEL_FIELDS = {"mass": ("model", "mass"), "beta": ("model", "beta"),
+                 "force": ("model", "force"), "coeffs": ("coefficients",),
+                 "Q": ("coefficients", "Q")}
 _ANALYSIS_KEYS = ("burn_in", "n_batches", "observable", "grid_points",
                   "lyapunov_C", "sigma_method", "rate_replicas", "rate_mu")
 _OUTPUT_KEYS = ("directory", "trajectory_csv", "noise_sidecar",
@@ -372,7 +358,6 @@ def _fordkac(section, integ):
 
 def _bath_spectrum(spec):
     """The FordKacSpectrum of a spectrum that parse_config converted."""
-    from .kernels import FordKacSpectrum, fordkac_spectrum_for_exponential
     if spec["kind"] == "exponential":
         return fordkac_spectrum_for_exponential(
             spec["c"], spec["alpha"], spec["m_modes"], spec["omega_max"])
@@ -397,39 +382,30 @@ def parse_config(text):
                              ("mass", "beta"), ("model",))
     domain_sec = _expect_keys(model_sec["domain"], ("kind", "dim"), (),
                               ("model", "domain"))
-    try:
-        domain = Domain(domain_sec["kind"],
-                        _int(domain_sec["dim"], ("model", "domain", "dim")))
-    except ValueError as err:
-        raise ConfigError(str(err), ("model", "domain")) from None
+    domain = _build(("model", "domain"), Domain, domain_sec["kind"],
+                    _int(domain_sec["dim"], ("model", "domain", "dim")))
     n = domain.dim
     beta = _setting(model_sec, "beta", ("model",), _float, 1.0)
     mass = model_sec.get("mass")
     mass = np.eye(n) if mass is None else _matrix(mass, ("model", "mass"), (n, n))
-    force = _build_force(model_sec["force"], n, domain.is_torus,
-                         ("model", "force"))
+    force = _build_force(model_sec["force"], n, ("model", "force"))
     coeffs, q_mat, default_c = _build_coefficients(
         raw["coefficients"], n, domain.is_torus, ("coefficients",))
-    try:
-        model = ModelSpec(domain=domain, mass=mass, beta=beta, force=force,
-                          coeffs=coeffs, Q=q_mat)
-    except (ValueError, QgleError) as err:
-        raise ConfigError(str(err), ("model",)) from None
+    model = _build(_MODEL_FIELDS, ModelSpec, domain=domain, mass=mass,
+                   beta=beta, force=force, coeffs=coeffs, Q=q_mat)
 
     integ = None
     if "integrator" in raw:
         path = ("integrator",)
         sec = _expect_keys(raw["integrator"], ("scheme", "dt", "n_steps"),
                            ("seed", "store_noise", "stride"), path)
-        try:
-            integ = IntegratorSpec(
-                scheme=sec["scheme"], dt=_float(sec["dt"], path + ("dt",)),
-                n_steps=_int(sec["n_steps"], path + ("n_steps",)),
-                seed=_setting(sec, "seed", path, _int, 0),
-                store_noise=_setting(sec, "store_noise", path, _bool, False),
-                stride=_setting(sec, "stride", path, _int, 1))
-        except ValueError as err:
-            raise ConfigError(str(err), path) from None
+        integ = _build(
+            path, IntegratorSpec,
+            scheme=sec["scheme"], dt=_float(sec["dt"], path + ("dt",)),
+            n_steps=_int(sec["n_steps"], path + ("n_steps",)),
+            seed=_setting(sec, "seed", path, _int, 0),
+            store_noise=_setting(sec, "store_noise", path, _bool, False),
+            stride=_setting(sec, "stride", path, _int, 1))
 
     analysis_sec = raw.get("analysis", {})
     analysis = _analysis(analysis_sec, n, domain.is_torus)

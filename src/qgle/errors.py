@@ -51,3 +51,9 @@ class NoSignalError(QgleError):
 
 class InfeasibleError(QgleError):
     """No positive drift constant exists on the sample set."""
+
+
+def _located(err, *path):
+    """``err`` with the field at fault, ``path``, put before the path it carries."""
+    err.path = path + getattr(err, "path", ())
+    return err

@@ -8,11 +8,13 @@ smooth by construction.
 
 Validation screens (both raise :class:`ExpressionError`):
 
-* division nodes whose denominator interval contains zero are rejected
-  outright, the interval taken over ``[0, 1]^n`` on a torus, over R^n else;
+* division nodes whose denominator interval over R^n contains zero are
+  rejected outright, on every domain (``ForceField`` and ``CoefficientField``
+  run this screen and the dimension check on each tree they are given);
 * on torus domains, ``q_i`` may appear only inside ``sin``/``cos`` whose
   argument is affine in ``q`` with every slope an integer multiple of ``2*pi``
-  (this makes the entry 1-periodic in each component by construction).
+  (this makes the entry 1-periodic in each component by construction;
+  ``ModelSpec`` runs this screen).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "compile_exprs",
     "diff_expr",
     "max_q_index",
-    "screen_division",
     "screen_torus_periodicity",
     "validate_expr",
 ]
@@ -366,15 +367,14 @@ def max_q_index(expr):
     return max(max_q_index(expr.left), max_q_index(expr.right))
 
 
-def _interval(expr, box):
-    """Coarse interval envelope of ``expr`` over q with every component in
-    ``box`` = (lo, hi), which may be (-inf, inf)."""
+def _interval(expr):
+    """Coarse interval envelope of ``expr`` over q in R^n."""
     if isinstance(expr, Num):
         return (expr.value, expr.value)
     if isinstance(expr, Var):
-        return box
+        return (-math.inf, math.inf)
     if isinstance(expr, Call):
-        lo, hi = _interval(expr.arg, box)
+        lo, hi = _interval(expr.arg)
         if expr.func == "exp":
             return (math.exp(lo) if lo < 709.78 else math.inf,
                     math.exp(hi) if hi < 709.78 else math.inf)
@@ -383,8 +383,8 @@ def _interval(expr, box):
             value = math.sin(lo) if expr.func == "sin" else math.cos(lo)
             return (value, value)
         return (-1.0, 1.0)
-    llo, lhi = _interval(expr.left, box)
-    rlo, rhi = _interval(expr.right, box)
+    llo, lhi = _interval(expr.left)
+    rlo, rhi = _interval(expr.right)
     if expr.op in "+-":
         lo, hi = ((llo + rlo, lhi + rhi) if expr.op == "+"
                   else (llo - rhi, lhi - rlo))
@@ -400,17 +400,11 @@ def _interval(expr, box):
                        for a in (llo, lhi) for b in (rlo, rhi)]
         return (min(corners), max(corners))
     if not (rlo > 0.0 or rhi < 0.0):
-        where = "[0,1]^n" if box == (0.0, 1.0) else "R^n"
-        raise ExpressionError(f"denominator interval over {where} contains zero")
+        raise ExpressionError("denominator interval over R^n contains zero")
     corners = (llo / rlo, llo / rhi, lhi / rlo, lhi / rhi)
     if math.isnan(sum(corners)):  # inf / inf: no bound, and no NaN passed on
         return (-math.inf, math.inf)
     return (min(corners), max(corners))
-
-
-def screen_division(expr, n):
-    """Reject expressions whose denominators can vanish on [0, 1]^n."""
-    _interval(expr, (0.0, 1.0))
 
 
 def _affine(expr):
@@ -483,11 +477,11 @@ def screen_torus_periodicity(expr):
 
 
 def validate_expr(expr, n, torus):
-    """Run all validation screens for an entry used on an n-dimensional
-    domain (the division screen over R^n on a euclidean one)."""
+    """Run the dimension check and the screens for an entry used on an
+    n-dimensional domain (the periodicity screen on a torus only)."""
     top = max_q_index(expr)
     if top >= n:
         raise ExpressionError(f"expression uses q{top + 1} but the domain has dim {n}")
-    _interval(expr, (0.0, 1.0) if torus else (-math.inf, math.inf))
+    _interval(expr)
     if torus:
         screen_torus_periodicity(expr)

@@ -6,9 +6,9 @@ The dissipation kernel of a constant-coefficient model is
 
 a Dirac part plus a matrix-exponential colored part; a Prony series
 sum_i c_i exp(-alpha_i tau) is the diagonal special case.  This module
-evaluates kernels, builds coefficient fields from Prony modes, handles the
-Ford-Kac cosine kernel of an explicit harmonic bath, and assembles the
-non-equilibrium kernel pair for models without fluctuation-dissipation.
+evaluates kernels, builds coefficient fields from Prony modes and assembles
+the non-equilibrium kernel pair of models without fluctuation-dissipation
+(the kernel of an explicit bath is in ``qgle.fordkac``).
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from .model import CoefficientField, _as_matrix
 
 __all__ = [
     "MemoryKernel",
-    "FordKacSpectrum",
     "NoneqKernels",
     "kernel_eval",
     "noise_covariance_eval",
     "coeffs_from_prony",
-    "fordkac_kernel",
-    "fordkac_spectrum_for_exponential",
     "spectral_density",
     "noneq_kernels",
 ]
@@ -143,66 +140,6 @@ def coeffs_from_prony(modes, n=1):
         sigma[rows, rows] = np.sqrt(2.0 * a) * np.eye(n)
     coeffs = CoefficientField(n, m, gamma=gamma, sigma=sigma)
     return coeffs, np.eye(m)
-
-
-@dataclass(frozen=True)
-class FordKacSpectrum:
-    """Spring stiffnesses and frequencies of a finite harmonic bath."""
-
-    modes: Tuple[Tuple[float, float], ...]  # (k_i, omega_i)
-
-    def __post_init__(self):
-        modes = tuple((float(k), float(w)) for k, w in self.modes)
-        if any(k <= 0 or w <= 0 for k, w in modes):
-            raise ValueError("bath modes need k_i > 0 and omega_i > 0")
-        object.__setattr__(self, "modes", modes)
-
-    @property
-    def stiffness(self):
-        return np.array([k for k, _ in self.modes])
-
-    @property
-    def omega(self):
-        return np.array([w for _, w in self.modes])
-
-    @property
-    def bath_mass(self):
-        # omega = sqrt(k / mass)
-        return self.stiffness / self.omega**2
-
-    def __len__(self):
-        return len(self.modes)
-
-
-def fordkac_kernel(spectrum, t):
-    """Exact bath kernel sum_i k_i cos(omega_i t); even in t."""
-    if len(spectrum) == 0:
-        return 0.0 * np.asarray(t, dtype=float)
-    t = np.asarray(t, dtype=float)
-    k = spectrum.stiffness
-    w = spectrum.omega
-    return np.tensordot(np.cos(np.multiply.outer(t, w)), k, axes=([-1], [0]))
-
-
-def fordkac_spectrum_for_exponential(c, alpha, m_modes, omega_max):
-    """Deterministic bath spectrum approximating c * exp(-alpha t).
-
-    Midpoint quadrature of the spectral density (2 c alpha / pi) /
-    (alpha^2 + w^2) on [0, omega_max]: omega_i at midpoints, k_i =
-    density(omega_i) * delta_omega.  The cosine transform identity
-    integral_0^inf (2 c alpha / pi) cos(w t) / (alpha^2 + w^2) dw
-    = c exp(-alpha t) makes the sum converge as m_modes grows for
-    omega_max >> alpha.
-    """
-    if c <= 0 or alpha <= 0 or omega_max <= 0:
-        raise ValueError("c, alpha, omega_max must be positive")
-    if m_modes < 1:
-        raise ValueError("need at least one bath mode")
-    dw = omega_max / m_modes
-    omega = (np.arange(m_modes) + 0.5) * dw
-    density = (2.0 * c * alpha / np.pi) / (alpha**2 + omega**2)
-    k = density * dw
-    return FordKacSpectrum(tuple(zip(k, omega)))
 
 
 def spectral_density(kernel, k):

@@ -18,6 +18,7 @@ invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +31,11 @@ from .errors import (
     NoSolutionError,
     NotPositiveError,
     NumericalFailureError,
+    QgleError,
+    _located,
 )
-from .expressions import BinOp, Call, Num, Var, compile_exprs, diff_expr, parse_expr
+from .expressions import (BinOp, Call, Num, Var, compile_exprs, diff_expr,
+                          parse_expr, screen_torus_periodicity, validate_expr)
 
 __all__ = [
     "Domain",
@@ -61,22 +65,34 @@ def _as_matrix(a, shape=None, name="matrix"):
     return a
 
 
-def _check_spd(a, name):
-    a = _as_matrix(a, name=name)
+def _checked(path, check, *args):
+    """``check(*args)``, naming the field ``path`` in an error it raises."""
+    try:
+        return check(*args)
+    except (ValueError, QgleError) as err:
+        raise _located(err, *path) from None
+
+
+def _check_spd(a, name, shape=None):
+    """``a`` as an SPD matrix (of ``shape``); an error names ``name``."""
+    a = _checked((name,), _as_matrix, a, shape, name)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
+        raise _located(ValueError(f"{name} must be square"), name)
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
+        raise _located(ValueError(f"{name} must be symmetric"), name)
     eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
     if eigs.min() <= PD_EIG_TOL * scale:
-        raise NotPositiveError(f"{name} must be positive definite (min eig {eigs.min():.3e})")
+        raise _located(NotPositiveError(
+            f"{name} must be positive definite (min eig {eigs.min():.3e})"), name)
     return a
 
 
-def wrap_torus(q):
-    """Reduce torus coordinates to [0, 1)^n."""
-    return np.mod(q, 1.0)
+def _tree(entry, n):
+    """The dimension- and division-screened tree of a string or tree."""
+    tree = entry if isinstance(entry, (Num, Var, Call, BinOp)) else parse_expr(entry)
+    validate_expr(tree, n, torus=False)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -88,16 +104,16 @@ class Domain:
 
     def __post_init__(self):
         if self.kind not in ("torus", "euclidean"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise _located(ValueError(f"unknown domain kind {self.kind!r}"), "kind")
         if self.dim < 1:
-            raise ValueError("domain dimension must be >= 1")
+            raise _located(ValueError("domain dimension must be >= 1"), "dim")
 
     @property
     def is_torus(self):
         return self.kind == "torus"
 
     def reduce(self, q):
-        return wrap_torus(q) if self.is_torus else np.asarray(q, dtype=float)
+        return np.mod(q, 1.0) if self.is_torus else np.asarray(q, dtype=float)
 
 
 def _batched(fn, q):
@@ -120,14 +136,16 @@ class ForceField:
     (``-grad U``).  A field built from expressions keeps, as ``_columns``,
     one evaluator (``compile_exprs``) of the n components of the gradient
     of its potential or, if it is not conservative, of its force; the
-    integrators evaluate them together with the coefficients.
+    integrators evaluate them together with the coefficients.  The
+    expression constructors run the dimension check and the division screen
+    on each expression and keep its tree and field path in ``_sources``.
     ``linear_part``, when given, is the SPD stiffness H of a harmonic part
     q' H q / 2 of the potential; the Ford-Kac ensembles draw their start
     positions from its Gibbs marginal.
     """
 
     def __init__(self, kind, n, force, potential=None, grad_potential=None,
-                 linear_part=None, _check=True, _columns=None):
+                 linear_part=None, _check=True, _columns=None, _sources=()):
         if kind not in ("conservative", "nonconservative"):
             raise ValueError(f"unknown force kind {kind!r}")
         self.kind = kind
@@ -136,13 +154,14 @@ class ForceField:
         self._potential = potential
         self._grad = grad_potential
         self._columns = _columns
+        self._sources = _sources
         self.linear_part = None if linear_part is None else _check_spd(
-            _as_matrix(linear_part, (n, n), "linear_part"), "linear_part")
+            linear_part, "linear_part", (n, n))
         if kind == "conservative":
             if potential is None or grad_potential is None:
                 raise ValueError("conservative forces need potential and gradient")
             if _check:
-                self._check_gradient()
+                _checked(("potential",), self._check_gradient)
 
     def __call__(self, q):
         return _batched(self._force, q)
@@ -191,7 +210,7 @@ class ForceField:
     @classmethod
     def harmonic(cls, stiffness):
         """U(q) = q' H q / 2 for SPD H."""
-        h = _check_spd(np.atleast_2d(np.asarray(stiffness, dtype=float)), "stiffness")
+        h = _check_spd(stiffness, "stiffness")
         n = h.shape[0]
         return cls("conservative", n,
                    force=lambda q: -q @ h.T,
@@ -207,21 +226,27 @@ class ForceField:
         closed under differentiation); the potential and the n gradient
         components are evaluated by two evaluators.
         """
-        tree = parse_expr(expr) if isinstance(expr, str) else expr
+        tree = _checked(("potential",), _tree, expr, n)
         u = compile_exprs([tree])
         grad = compile_exprs([diff_expr(tree, j) for j in range(n)])
         return cls("conservative", n, force=lambda q: -grad(q),
                    potential=lambda q: u(q)[:, 0], grad_potential=grad,
-                   linear_part=linear_part, _columns=grad)
+                   linear_part=linear_part, _columns=grad,
+                   _sources=((("potential",), tree),))
 
     @classmethod
     def nonconservative(cls, n, force, linear_part=None):
         """``force`` maps ``(R, n)`` batches to forces, or is a list of n
-        expression trees, one per component."""
-        columns = None if callable(force) else compile_exprs(force)
-        return cls("nonconservative", n,
-                   force=force if columns is None else columns,
-                   linear_part=linear_part, _columns=columns)
+        expressions (strings or trees), one per component."""
+        if callable(force):
+            return cls("nonconservative", n, force, linear_part=linear_part)
+        if not isinstance(force, (list, tuple)) or len(force) != n:
+            raise _located(ValueError(f"need {n} force components"), "components")
+        sources = [(("components", i), _checked(("components", i), _tree, comp, n))
+                   for i, comp in enumerate(force)]
+        columns = compile_exprs([tree for _, tree in sources])
+        return cls("nonconservative", n, columns, linear_part=linear_part,
+                   _columns=columns, _sources=sources)
 
 
 class CoefficientField:
@@ -235,47 +260,48 @@ class CoefficientField:
     (``compile_exprs``) per matrix, kept with their positions as ``_gamma``
     and ``_sigma``; the evaluator writes the literal entries once and
     computes the others.  The position-dependent Euler step evaluates both
-    matrices and the force by one evaluator instead.
+    matrices and the force by one evaluator instead.  Construction runs the
+    dimension check and the division screen on each expression entry and
+    keeps its tree and field path in ``_sources``.
     """
 
     def __init__(self, n, m, gamma=None, sigma=None,
                  gamma_entries=None, sigma_entries=None):
         if m < 1:
-            raise ValueError("auxiliary dimension m must be >= 1")
+            raise _located(ValueError("auxiliary dimension m must be >= 1"), "m")
         self.n = n
         self.m = m
         dim = n + m
+        self._sources = []
         if gamma is not None:
             self.kind = "constant"
-            self._gamma = _as_matrix(gamma, (dim, dim), "Gamma")
-            self._sigma = _as_matrix(sigma, (dim, dim), "Sigma")
+            self._gamma = _checked(("gamma",), _as_matrix, gamma, (dim, dim), "Gamma")
+            self._sigma = _checked(("sigma",), _as_matrix, sigma, (dim, dim), "Sigma")
         else:
             self.kind = "position_dependent"
-            self._gamma_entries, self._gamma = self._check_entries(
-                gamma_entries, dim, "Gamma")
-            self._sigma_entries, self._sigma = self._check_entries(
-                sigma_entries, dim, "Sigma")
+            self._gamma_entries, self._gamma = self._check_entries(gamma_entries, "gamma")
+            self._sigma_entries, self._sigma = self._check_entries(sigma_entries, "sigma")
 
-    @staticmethod
-    def _check_entries(entries, dim, name):
+    def _check_entries(self, entries, name):
         """The entries as a (dim, dim) object array of floats and trees, and
         (positions, evaluator) of the nonzero ones, row-major: a float counts
         as a literal ``Num``, and zeros are left to zero-filled buffers."""
-        if entries is None:
-            raise ValueError(f"{name} entries missing")
-        rows = list(entries)
-        if len(rows) != dim or any(len(row) != dim for row in rows):
-            raise ValueError(f"{name} entries must form a {dim}x{dim} matrix")
+        dim, matrix = self.n + self.m, (list, tuple, np.ndarray)
+        if not isinstance(entries, matrix) or len(entries) != dim or any(
+                not isinstance(row, matrix) or len(row) != dim for row in entries):
+            raise _located(ValueError(f"{name} entries must form a {dim}x{dim} matrix"), name)
         out = np.empty((dim, dim), dtype=object)
         positions, trees = [], []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(entries):
             for j, entry in enumerate(row):
-                if isinstance(entry, str):
-                    entry = parse_expr(entry)
-                elif isinstance(entry, (int, float)):
+                if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                    if not math.isfinite(entry):
+                        raise _located(ValueError(
+                            f"expected a finite number, got {entry!r}"), name, i, j)
                     entry = float(entry)
-                elif not isinstance(entry, (Num, Var, Call, BinOp)):
-                    raise ValueError(f"{name}[{i}][{j}] must be a number or expression")
+                else:
+                    entry = _checked((name, i, j), _tree, entry, self.n)
+                    self._sources.append(((name, i, j), entry))
                 out[i, j] = entry
                 tree = Num(entry) if isinstance(entry, float) else entry
                 if tree != Num(0.0):
@@ -334,14 +360,12 @@ class ExtendedState:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
-    @property
-    def z(self):
-        return np.concatenate([self.p, self.s])
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full model instance: domain, mass, temperature, force, coefficients."""
+    """Full model instance: domain, mass, temperature, force, coefficients;
+    on a torus each expression the force and the coefficients were given
+    (a potential, not its gradient) must pass the periodicity screen."""
 
     domain: Domain
     mass: np.ndarray
@@ -352,17 +376,22 @@ class ModelSpec:
 
     def __post_init__(self):
         n = self.domain.dim
-        mass = _check_spd(_as_matrix(self.mass, (n, n), "mass"), "mass")
+        mass = _check_spd(self.mass, "mass", (n, n))
         object.__setattr__(self, "mass", mass)
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise _located(ValueError("beta must be positive"), "beta")
         if self.force.n != n:
-            raise ValueError("force dimension does not match the domain")
+            raise _located(ValueError("force dimension does not match the domain"), "force")
         if self.coeffs.n != n:
-            raise ValueError("coefficient field n does not match the domain")
+            raise _located(ValueError("coefficient field n does not match the domain"),
+                           "coeffs")
         if self.Q is not None:
-            q = _check_spd(_as_matrix(self.Q, (self.coeffs.m, self.coeffs.m), "Q"), "Q")
+            q = _check_spd(self.Q, "Q", (self.coeffs.m, self.coeffs.m))
             object.__setattr__(self, "Q", q)
+        if self.domain.is_torus:
+            for owner in ("force", "coeffs"):
+                for path, tree in getattr(self, owner)._sources:
+                    _checked((owner,) + path, screen_torus_periodicity, tree)
         mass_inv = np.linalg.inv(mass)
         mass_inv.flags.writeable = False
         object.__setattr__(self, "_mass_inv", mass_inv)

@@ -1,4 +1,4 @@
-"""Time integration of the extended SDE and the explicit harmonic bath.
+"""Time integration of the extended SDE, and the trajectory file formats.
 
 Two schemes: explicit Euler-Maruyama (weak order 1, coefficients frozen at
 the pre-step state, Ito-consistent for position-dependent noise) and a
@@ -27,14 +27,12 @@ force and the entries of Gamma(q) and Sigma(q) by one evaluator call into
 preallocated buffers.  No ufunc in a step body writes over one of its own
 operands when that operand is a one-element array or a strided view,
 because numpy's overlap check costs about 1 us there: updates go through
-scratch rows instead, and scalar operands are 0-d arrays.  The explicit bath's
-velocity-Verlet loop works the same way on (replicas x modes) buffers,
-carrying both half-kicks between steps, with one gradient call per step.
-Both loops run through one driver that checks finiteness once per chunk of
-steps; a chunk that ends non-finite (or raised a floating-point error the
-caller does not ignore) is restored from its start and replayed step by
-step, so a blowup reports the same step index and warnings as a per-step
-check.
+scratch rows instead, and scalar operands are 0-d arrays.  The steps run
+through one driver, ``_step_chunks`` (the explicit bath of ``qgle.fordkac``
+runs through it too), that checks finiteness once per chunk of steps; a
+chunk that ends non-finite (or raised a floating-point error the caller
+does not ignore) is restored from its start and replayed step by step, so
+a blowup reports the same step index and warnings as a per-step check.
 
 A chunk's noise lives in one buffer of the run, allocated once and laid out
 step-major as (chunk, replicas, n+m), so a step reads one contiguous
@@ -43,13 +41,16 @@ position-dependent Euler step bounds its chunk by a budget of 2^17 values
 (1 MiB), clamped to 64-4096 steps (128 steps at 512 replicas of n+m = 2).
 The splitting and constant-coefficient Euler steps transform a replica's
 increments by one matrix product over the chunk, and a product over fewer
-rows can round differently, so their chunks stay at 4096 steps (the
-explicit bath draws no noise while stepping and keeps 4096 too).
+rows can round differently, so their chunks stay at 4096 steps.
 
 Randomness is counter-based: every trajectory owns a Philox stream keyed by
 (seed, trajectory index), so ensembles are reproducible and independent of
 scheduling.  Stored Wiener increments regenerate a trajectory bit-exactly
 and feed the discrete non-Markovian reconstruction check.
+
+``qgle.simulate`` is the function ``simulate`` once ``qgle`` is imported
+(the names clash), so ``from qgle.simulate import ...`` is the supported
+way to import this module's names.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import IntegrationBlowupError, NonConservativeError
+from .errors import IntegrationBlowupError, NonConservativeError, _located
 from .expressions import compile_exprs
 from .model import ExtendedState
 
@@ -71,7 +72,6 @@ __all__ = [
     "IntegratorSpec",
     "Trajectory",
     "EnsembleResult",
-    "FordKacTrajectory",
     "GibbsInit",
     "simulate",
     "simulate_ensemble",
@@ -80,10 +80,6 @@ __all__ = [
     "sample_gibbs",
     "ide_residual_check",
     "colored_noise_path",
-    "fordkac_simulate",
-    "fordkac_ensemble",
-    "fordkac_vs_gle",
-    "velocity_autocorrelation",
     "trajectory_to_csv",
     "write_noise_sidecar",
     "read_noise_sidecar",
@@ -112,15 +108,16 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
+            raise _located(ValueError(
+                f"unknown scheme {self.scheme!r}; pick from {SCHEMES}"), "scheme")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise _located(ValueError("dt must be positive"), "dt")
         if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+            raise _located(ValueError("n_steps must be nonnegative"), "n_steps")
         if self.stride < 1:
-            raise ValueError("stride must be a positive integer")
+            raise _located(ValueError("stride must be a positive integer"), "stride")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise _located(ValueError("seed must be a 64-bit unsigned integer"), "seed")
         if not np.isfinite(self.dt * self.n_steps):
             raise ValueError("dt * n_steps must be finite")
 
@@ -647,6 +644,19 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         (noise if collect_noise else None)
 
 
+def _run_meta(model, integ, observables=None, states=None, **extra):
+    """Run metadata: model fingerprint, integrator settings, ``extra``, and
+    each observable's statistics over the rows of ``states`` = (q, p, s)."""
+    meta = {"model_hash": model_fingerprint(model), "scheme": integ.scheme,
+            "dt": integ.dt, "n_steps": integ.n_steps, "seed": integ.seed,
+            "stride": integ.stride, **extra}
+    if observables:
+        meta["observables"] = {
+            name: ObservableAccumulator(name, fn(*states))
+            for name, fn in observables.items()}
+    return meta
+
+
 def simulate(model, integ, initial, observables=None, traj_index=0):
     """Run one trajectory; deterministic given (seed, scheme, dt).
 
@@ -660,25 +670,19 @@ def simulate(model, integ, initial, observables=None, traj_index=0):
     times, qs, ps, ss, noise = _run_batch(
         model, integ, q0[None], p0[None], s0[None], [stream],
         collect_noise=integ.store_noise)
-    traj = Trajectory(
+    return Trajectory(
         times=times, q=qs[0], p=ps[0], s=ss[0],
         noise=None if noise is None else noise[0],
-        meta={"model_hash": model_fingerprint(model),
-              "scheme": integ.scheme, "dt": integ.dt,
-              "n_steps": integ.n_steps, "seed": integ.seed,
-              "stride": integ.stride, "traj_index": traj_index})
-    if observables:
-        traj.meta["observables"] = {
-            name: ObservableAccumulator(name, fn(traj.q, traj.p, traj.s))
-            for name, fn in observables.items()}
-    return traj
+        meta=_run_meta(model, integ, observables, (qs[0], ps[0], ss[0]),
+                       traj_index=traj_index))
 
 
 def replay_trajectory(model, traj):
     """Re-run a trajectory from its stored increments (bit-exact).
 
     Uses the initial stored state, the recorded integrator settings and the
-    noise array; the result must equal the original path exactly.
+    noise array; the result must equal the original path exactly.  Its meta
+    is that of the run, without observables.
     """
     if traj.noise is None:
         raise ValueError("trajectory was run without store_noise")
@@ -690,7 +694,8 @@ def replay_trajectory(model, traj):
         model, integ, traj.q[0][None], traj.p[0][None], traj.s[0][None],
         streams=None, collect_noise=True, replay=traj.noise[None])
     return Trajectory(times=times, q=qs[0], p=ps[0], s=ss[0], noise=noise[0],
-                      meta=dict(traj.meta))
+                      meta=_run_meta(model, integ, traj_index=traj.meta.get(
+                          "traj_index", 0)))
 
 
 def simulate_ensemble(model, integ, initial, n_replicas, observables=None):
@@ -715,18 +720,11 @@ def simulate_ensemble(model, integ, initial, n_replicas, observables=None):
     streams = [_philox(integ.seed, r, purpose=0) for r in range(n_replicas)]
     times, qs, ps, ss, _ = _run_batch(model, integ, q, p, s, streams,
                                       collect_noise=False)
-    result = EnsembleResult(
+    states = [a.reshape(-1, a.shape[-1]) for a in (qs, ps, ss)]
+    return EnsembleResult(
         times=times, q=qs, p=ps, s=ss,
-        meta={"model_hash": model_fingerprint(model), "scheme": integ.scheme,
-              "dt": integ.dt, "n_steps": integ.n_steps, "seed": integ.seed,
-              "stride": integ.stride, "n_replicas": n_replicas})
-    if observables:
-        result.meta["observables"] = {
-            name: ObservableAccumulator(name, fn(qs.reshape(-1, qs.shape[-1]),
-                                                 ps.reshape(-1, ps.shape[-1]),
-                                                 ss.reshape(-1, ss.shape[-1])))
-            for name, fn in observables.items()}
-    return result
+        meta=_run_meta(model, integ, observables, states,
+                       n_replicas=n_replicas))
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +786,12 @@ def ide_residual_check(model, traj):
     return residual
 
 
-def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
+def colored_noise_path(coeffs, Q, beta, dt, noise, eta0):
     """Colored-noise process driven by a trajectory's stored increments.
 
     Integrates d eta = -G22 eta dt + beta^-1/2 S2 dW from eta0 (= s(0))
-    using either the exact one-step OU map (``_ou_step``) or the same Euler
-    map as the simulation.  Returns the (n_steps + 1, m) path.
+    by the exact one-step OU map (``_ou_step``).  Returns the
+    (n_steps + 1, m) path.
     """
     if not coeffs.constant:
         raise ValueError("colored-noise reconstruction needs constant coefficients")
@@ -804,14 +802,6 @@ def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
     steps = noise.shape[0]
     out = np.empty((steps + 1, m))
     out[0] = eta0
-    if method == "euler":
-        factor = np.sqrt(dt / beta)
-        for k in range(steps):
-            out[k + 1] = out[k] - dt * (g22 @ out[k]) \
-                + factor * (s2 @ noise[k])
-        return out
-    if method != "exact":
-        raise ValueError("method must be 'exact' or 'euler'")
     decay, _, factor = _ou_step(g22, s2 @ s2.T / beta, dt)
     # the exact update covariance mixes the whole Wiener path inside a step,
     # so it cannot be a function of the per-step increment alone; drive the
@@ -826,303 +816,6 @@ def colored_noise_path(coeffs, Q, beta, dt, noise, eta0, method="exact"):
         np.dot(factor, xi, out=kick)
         np.add(drift, kick, out=after)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Ford-Kac explicit bath
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FordKacTrajectory:
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    energy: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
-def _fordkac_run(force, spectrum, beta, dt, n_steps, stride, rng, q0, p0,
-                 n_replicas=1, energy=True):
-    """Velocity-Verlet on the full Hamiltonian, batched over replicas.
-
-    Bath initialized from the Gibbs measure conditional on q0:
-    positions N(q0, 1/(beta k_j)), momenta N(0, m_j/beta).
-
-    The state lives in preallocated (R,) and (R, nb) buffers that the step
-    updates in place, in the floating-point order of the plain expressions
-    p + (dt/2) F, b_p - (dt/2) k (b_q - q), q + dt p and b_q + dt b_p / m_b,
-    so the path is the same bit for bit.  The half-kicks of a step's closing
-    half are carried into the opening half of the next step, so each step
-    calls the potential's gradient once.  Stiffness and bath-mass rows are
-    copied to full (R, nb) arrays once, so no loop operand is broadcast.  As
-    in ``_run_batch``, no ufunc writes over its own (R,) operand: the
-    mid-step momentum has its own buffer and q + dq goes through ``qt``.
-    The steps run through ``_step_chunks``: finiteness of (q, p) is checked
-    once per 4096-step chunk and a faulty chunk is replayed step by step.
-    The stored total energies p^2/2 + U(q) + sum b_p^2/(2 m_b)
-    + sum k (b_q - q)^2/2 are summed in that order from (R, nb) rows
-    computed in the scratch buffer; with ``energy`` false they are not
-    computed (None).
-    """
-    if force is None:
-        grad = None
-
-        def u(q):
-            return np.zeros_like(q)
-    else:
-        grad = force._grad
-        if grad is None:
-            raise NonConservativeError("force has no potential gradient")
-
-        def u(q):
-            return np.asarray(force.potential(q[:, None]), dtype=float)
-
-    k = spectrum.stiffness
-    mass = spectrum.bath_mass
-    nb = len(spectrum)
-    R = n_replicas
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (R,)).copy()
-    p = np.broadcast_to(np.asarray(p0, dtype=float), (R,)).copy()
-    if nb:
-        bq = q[:, None] + rng.standard_normal((R, nb)) / np.sqrt(beta * k)
-        bp = rng.standard_normal((R, nb)) * np.sqrt(mass / beta)
-    else:
-        bq = np.zeros((R, 0))
-        bp = np.zeros((R, 0))
-
-    half, step_dt = np.array(0.5 * dt), np.array(dt)
-    stiff = np.tile(k, (R, 1))
-    bmass = np.tile(mass, (R, 1))
-    q_col = q[:, None]            # (R, 1) view: the gradient's batch layout
-    work = np.empty((R, nb))      # dt b_p / m_b, then k (b_q - q)
-    hs = np.empty((R, nb))        # (dt/2) k (b_q - q), carried between steps
-    total = np.empty(R)           # sum_j k_j (b_q,j - q)
-    total_col = total[:, None]
-    fq = total if grad is None else np.empty(R)  # total - U'(q)
-    fq_col = fq[:, None]
-    hf = np.empty(R)              # (dt/2) F, carried between steps
-    pm = np.empty(R)              # momentum after the opening half-kick
-    dq = np.empty(R)
-    qt = np.empty(R)
-
-    def total_energy():
-        """Total energies of the current state, through ``work``."""
-        np.copyto(work, q_col)
-        np.subtract(bq, work, out=work)
-        np.square(work, out=work)
-        np.multiply(stiff, work, out=work)
-        coupling = 0.5 * np.add.reduce(work, axis=1)
-        np.square(bp, out=work)
-        np.divide(work, bmass, out=work)
-        kinetic_bath = 0.5 * np.add.reduce(work, axis=1)
-        return 0.5 * p**2 + u(q) + kinetic_bath + coupling
-
-    n_out = n_steps // stride + 1
-    qs = np.empty((R, n_out))
-    ps = np.empty((R, n_out))
-    es = np.empty((R, n_out)) if energy else None
-    qs[:, 0], ps[:, 0] = q, p
-    if energy:
-        es[:, 0] = total_energy()
-
-    def half_kicks():
-        """hf <- (dt/2) F(q, b_q) and hs <- (dt/2) k (b_q - q)."""
-        np.copyto(work, q_col)
-        np.subtract(bq, work, out=work)
-        np.multiply(stiff, work, out=work)
-        np.add.reduce(work, axis=1, out=total)
-        np.multiply(work, half, out=hs)
-        if grad is not None:
-            np.subtract(total_col, grad(q_col), out=fq_col)
-        np.multiply(fq, half, out=hf)
-
-    def body(_):
-        np.add(p, hf, out=pm)
-        np.subtract(bp, hs, out=bp)
-        np.multiply(pm, step_dt, out=dq)
-        np.add(q, dq, out=qt)
-        q[...] = qt
-        np.multiply(bp, step_dt, out=work)
-        np.divide(work, bmass, out=work)
-        np.add(bq, work, out=bq)
-        half_kicks()
-        np.add(pm, hf, out=p)
-        np.subtract(bp, hs, out=bp)
-
-    def store(out):
-        qs[:, out], ps[:, out] = q, p
-        if energy:
-            es[:, out] = total_energy()
-
-    half_kicks()
-    out = _step_chunks(n_steps, stride, [q, p, bq, bp, hf, hs], body,
-                       lambda: np.isfinite(q).all() and np.isfinite(p).all(),
-                       store, 4096)
-    times = np.arange(out) * (dt * stride)
-    return times, qs[:, :out], ps[:, :out], None if es is None else es[:, :out]
-
-
-def fordkac_simulate(force, spectrum, beta, dt, T, seed, q0, p0, stride=1):
-    """Single distinguished-particle trajectory of the explicit bath model.
-
-    Symplectic leapfrog on the full Hamiltonian; the bath is drawn from the
-    Gibbs measure conditional on q0.  The returned meta carries the exact
-    deterministic kernel (the bath's cosine sum).
-    """
-    from .kernels import fordkac_kernel
-    n_steps = int(round(T / dt))
-    rng = _philox(seed, 0, purpose=2)
-    times, qs, ps, es = _fordkac_run(force, spectrum, beta, dt, n_steps,
-                                     stride, rng, q0, p0, n_replicas=1)
-    return FordKacTrajectory(
-        times=times, q=qs[0], p=ps[0], energy=es[0],
-        meta={"spectrum": spectrum, "beta": beta, "dt": dt, "seed": seed,
-              "kernel": lambda t: fordkac_kernel(spectrum, t)})
-
-
-def fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
-                     stride=1, q0_sampler=None):
-    """Replica ensemble with Gibbs-initialized bath and particle.
-
-    q0 per replica comes from ``q0_sampler(rng, size)`` (defaults to the
-    marginal of a harmonic potential when the force has a linear part, else
-    q0 = 0); p0 is N(0, 1/beta).
-    """
-    return _fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
-                             stride=stride, q0_sampler=q0_sampler, energy=True)
-
-
-def _harmonic_q0(force, beta, rng, shape):
-    """Start positions from the Gibbs marginal N(0, 1/(beta H)) of the
-    force's harmonic part H (its first diagonal entry), else zeros; draws
-    nothing from ``rng`` in the zero case."""
-    if force is None or force.linear_part is None:
-        return np.zeros(shape)
-    h = float(force.linear_part[0, 0])
-    return rng.standard_normal(shape) / np.sqrt(beta * h)
-
-
-def _fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas, stride,
-                      q0_sampler, energy):
-    rng = _philox(seed, 0, purpose=3)
-    if q0_sampler is not None:
-        q0 = q0_sampler(rng, n_replicas)
-    else:
-        q0 = _harmonic_q0(force, beta, rng, n_replicas)
-    p0 = rng.standard_normal(n_replicas) / np.sqrt(beta)
-    n_steps = int(round(T / dt))
-    bath_rng = _philox(seed, 1, purpose=2)
-    return _fordkac_run(force, spectrum, beta, dt, n_steps, stride, bath_rng,
-                        q0, p0, n_replicas=n_replicas, energy=energy)
-
-
-def velocity_autocorrelation(p_paths, n_lags):
-    """Per-replica time-averaged correlation E[p(t) p(t+tau)].
-
-    ``p_paths`` is (R, K); returns (R, n_lags + 1) using all admissible
-    time origins of each replica.
-    """
-    p_paths = np.atleast_2d(p_paths)
-    R, K = p_paths.shape
-    if n_lags >= K:
-        raise ValueError("not enough samples for the requested lags")
-    out = np.empty((R, n_lags + 1))
-    for lag in range(n_lags + 1):
-        out[:, lag] = np.mean(p_paths[:, :K - lag] * p_paths[:, lag:K], axis=1)
-    return out
-
-
-@dataclass
-class FordKacComparison:
-    """Velocity-autocorrelation discrepancy vs bath size."""
-
-    rows: list                 # (m, metric, bootstrap stderr)
-    combined_error: float      # bootstrap stderr of metric[-1] - metric[0]
-    passed: bool               # metric[-1] <= metric[0] + combined_error
-    lags: np.ndarray
-    gle_vacf: np.ndarray
-
-
-def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
-                   dt=1e-3, omega_max=None, stride=10, n_boot=200):
-    """Empirical thermodynamic-limit check of the explicit bath.
-
-    For each bath size m, the bath spectrum approximating c e^{-alpha t} is
-    built deterministically, an equilibrium ensemble is run, and the
-    velocity autocorrelation on [0, T] is compared against the matched
-    one-mode extended-variable model (same force, same estimator).  The
-    metric is the max-lag discrepancy; bootstrap over replicas supplies
-    error bars, and the result records whether the largest bath beats the
-    smallest within one combined error bar (a smoke test, not a proof).
-    """
-    from .kernels import coeffs_from_prony, fordkac_spectrum_for_exponential
-    from .model import Domain, ForceField, ModelSpec
-
-    m_list = list(m_list)
-    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be increasing")
-    if omega_max is None:
-        omega_max = 20.0 * alpha
-    dt_out = dt * stride
-    n_lags = int(round(T / dt_out))
-    t_sim = 3.0 * T if T > 0 else dt  # extra length for time-origin averaging
-
-    if T == 0:
-        lags = np.array([0.0])
-        rows = [(m, 0.0, 0.0) for m in m_list]
-        return FordKacComparison(rows=rows, combined_error=0.0, passed=True,
-                                 lags=lags, gle_vacf=np.zeros(1))
-
-    # matched one-mode extended-variable reference, equilibrium start
-    coeffs, q_aux = coeffs_from_prony([(c, alpha)])
-    gle_force = force if force is not None else ForceField.zero(1)
-    model = ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1),
-                      beta=beta, force=gle_force, coeffs=coeffs, Q=q_aux)
-    integ = IntegratorSpec(scheme="semi_exact_splitting", dt=dt,
-                           n_steps=int(round(t_sim / dt)), seed=seed,
-                           stride=stride)
-    init_rng = _philox(seed, 10_000, purpose=4)
-    q0 = _harmonic_q0(gle_force, beta, init_rng, (n_ensemble, 1))
-    p0 = init_rng.standard_normal((n_ensemble, 1)) / np.sqrt(beta)
-    s0 = init_rng.standard_normal((n_ensemble, coeffs.m)) @ \
-        np.linalg.cholesky(q_aux / beta).T
-    streams = [_philox(seed, r, purpose=0) for r in range(n_ensemble)]
-    _, _, gle_p, _, _ = _run_batch(model, integ, q0, p0, s0, streams,
-                                   collect_noise=False)
-    gle_corr = velocity_autocorrelation(gle_p[:, :, 0], n_lags)
-
-    fk_corrs = []
-    for m in m_list:
-        spectrum = fordkac_spectrum_for_exponential(c, alpha, m, omega_max)
-        # only p is compared, so the bath energies are not computed
-        _, _, ps, _ = _fordkac_ensemble(force, spectrum, beta, dt, t_sim,
-                                        seed + m, n_ensemble, stride=stride,
-                                        q0_sampler=None, energy=False)
-        fk_corrs.append(velocity_autocorrelation(ps, n_lags))
-
-    def metric(fk_rows, gle_rows):
-        return float(np.abs(fk_rows.mean(axis=0) - gle_rows.mean(axis=0)).max())
-
-    rows = []
-    boot_rng = np.random.Generator(np.random.Philox(key=[seed, 777]))
-    boot_metrics = np.empty((len(m_list), n_boot))
-    for b in range(n_boot):
-        idx_gle = boot_rng.integers(0, n_ensemble, n_ensemble)
-        for j, fk in enumerate(fk_corrs):
-            idx_fk = boot_rng.integers(0, n_ensemble, n_ensemble)
-            boot_metrics[j, b] = metric(fk[idx_fk], gle_corr[idx_gle])
-    for j, (m, fk) in enumerate(zip(m_list, fk_corrs)):
-        rows.append((m, metric(fk, gle_corr), float(boot_metrics[j].std())))
-    if len(m_list) == 1:
-        passed = True
-        combined = rows[0][2]
-    else:
-        diffs = boot_metrics[-1] - boot_metrics[0]
-        combined = float(diffs.std())
-        passed = rows[-1][1] <= rows[0][1] + combined
-    lags = np.arange(n_lags + 1) * dt_out
-    return FordKacComparison(rows=rows, combined_error=combined, passed=passed,
-                             lags=lags, gle_vacf=gle_corr.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

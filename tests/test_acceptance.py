@@ -18,7 +18,12 @@ from qgle.ergodicity import (
     lyapunov_matrix_const,
     unbounded_certificate,
 )
-from qgle.kernels import coeffs_from_prony, fordkac_spectrum_for_exponential
+from qgle.fordkac import (
+    fordkac_simulate,
+    fordkac_spectrum_for_exponential,
+    fordkac_vs_gle,
+)
+from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     CoefficientField,
     Domain,
@@ -33,8 +38,6 @@ from qgle.simulate import (
     GibbsInit,
     IntegratorSpec,
     colored_noise_path,
-    fordkac_simulate,
-    fordkac_vs_gle,
     ide_residual_check,
     simulate,
     simulate_ensemble,
@@ -169,7 +172,7 @@ def test_criterion_05_noise_stationarity():
     # the colored-noise process of the trajectory's own increments: an
     # autonomous OU started from the Gibbs-distributed s(0)
     eta = colored_noise_path(model.coeffs, model.Q, model.beta, integ.dt,
-                             traj.noise, traj.s[0], method="exact")
+                             traj.noise, traj.s[0])
     lags = np.arange(0, int(3.0 / alpha / integ.dt) + 1, 10)
     result = noise_stationarity_test(eta, model.coeffs, model.Q, model.beta,
                                      lags, integ.dt)

@@ -140,6 +140,16 @@ class TestParseConfig:
         (("output", "directory"), 5),
         (("model", "mass"), [[True]]),
         (("coefficients", "modes", 0), ["1", 1.0]),
+        # range checks that the constructors own
+        (("integrator", "dt"), -1.0),
+        (("integrator", "n_steps"), -1),
+        (("integrator", "stride"), 0),
+        (("integrator", "seed"), -1),
+        (("integrator", "scheme"), "rk4"),
+        (("model", "beta"), -1.0),
+        (("model", "domain", "dim"), 0),
+        (("model", "domain", "kind"), "sphere"),
+        (("model", "mass"), [[-1.0]]),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_bad_values_fail_at_parse_time_with_their_key_path(self, path,
                                                                 value):

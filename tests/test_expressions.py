@@ -13,7 +13,6 @@ from qgle.expressions import (
     compile_exprs,
     diff_expr,
     parse_expr,
-    screen_division,
     screen_torus_periodicity,
     validate_expr,
 )
@@ -59,16 +58,19 @@ def test_square():
 
 def test_division_screen_rejects_torus_zero_crossing():
     with pytest.raises(ExpressionError):
-        screen_division(parse_expr("1/(q1)"), 1)
+        validate_expr(parse_expr("1/(q1)"), 1, torus=True)
 
 
 def test_division_screen_allows_safe_denominator():
-    screen_division(parse_expr("1/(2+q1)"), 1)
+    validate_expr(parse_expr("1/(2+cos(2*pi*q1))"), 1, torus=True)
 
 
 def test_euclidean_division_screen_covers_the_real_line():
-    # singular only off [0, 1]: the torus screen passes it, R^n does not
-    screen_division(parse_expr("1/(q1-2)"), 1)
+    # the screen runs over R^n on every domain: 1/(2+q1) is singular at
+    # q1 = -2, off the torus's unit cell, and is rejected on both
+    for torus in (False, True):
+        with pytest.raises(ExpressionError, match="over R\\^n"):
+            validate_expr(parse_expr("1/(2+q1)"), 1, torus=torus)
     for text in ("1/(q1-2)", "1/(0*q1)", "1/(q1*exp(q1))",
                  "1/(1e999-1e999)"):
         with pytest.raises(ExpressionError):

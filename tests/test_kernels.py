@@ -3,12 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from qgle.errors import UnstableError
-from qgle.kernels import (
+from qgle.fordkac import (
     FordKacSpectrum,
-    MemoryKernel,
-    coeffs_from_prony,
     fordkac_kernel,
     fordkac_spectrum_for_exponential,
+)
+from qgle.kernels import (
+    MemoryKernel,
+    coeffs_from_prony,
     kernel_eval,
     noise_covariance_eval,
     noneq_kernels,

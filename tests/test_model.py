@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgle.errors import InconsistentError, NonConservativeError, NoSolutionError
-from qgle.expressions import Num, compile_exprs, parse_expr
+from qgle.errors import (
+    InconsistentError,
+    NonConservativeError,
+    NoSolutionError,
+    NotPositiveError,
+)
+from qgle.expressions import ExpressionError, Num, compile_exprs, parse_expr
 from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     NOT_APPLICABLE,
@@ -263,3 +268,74 @@ def test_mass_inverse_is_computed_once_and_read_only():
     assert np.array_equal(model.mass_inv, np.linalg.inv(model.mass))
     with pytest.raises(ValueError):
         model.mass_inv[0, 0] = 1.0
+
+
+def _posdep_field(entry):
+    """A 1+1 field whose Gamma[0][1] entry is ``entry``."""
+    return CoefficientField(1, 1, gamma_entries=[["0", entry], ["1", "1"]],
+                            sigma_entries=[["0", "0"], ["0", "1"]])
+
+
+class TestChecksAtConstruction:
+    """Each model object screens its own inputs when it is built, so a
+    model built in Python meets the checks a config file meets."""
+
+    def test_singular_coefficient_entry_is_refused(self):
+        with pytest.raises(ExpressionError) as err:
+            CoefficientField(1, 1, gamma_entries=[["1/(q1-q1)", "0"],
+                                                  ["0", "1"]],
+                             sigma_entries=[["0", "0"], ["0", "1"]])
+        assert err.value.path == ("gamma", 0, 0)
+
+    def test_singular_potential_is_refused(self):
+        with pytest.raises(ExpressionError) as err:
+            ForceField.from_potential_expr("1/(q1-q1)", 1)
+        assert err.value.path == ("potential",)
+
+    def test_component_beyond_the_dimension_is_refused(self):
+        with pytest.raises(ExpressionError) as err:
+            ForceField.nonconservative(1, ["q2"])
+        assert err.value.path == ("components", 0)
+
+    @pytest.mark.parametrize("potential, entry, path", [
+        ("q1*q1", "1", ("force", "potential")),
+        ("cos(2*pi*q1)", "2+q1", ("coeffs", "gamma", 0, 1)),
+    ])
+    def test_torus_model_names_the_entry_that_is_not_periodic(
+            self, potential, entry, path):
+        force = ForceField.from_potential_expr(potential, 1)
+        coeffs = _posdep_field(entry)
+        ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1), beta=1.0,
+                  force=force, coeffs=coeffs)
+        with pytest.raises(ExpressionError) as err:
+            ModelSpec(domain=Domain("torus", 1), mass=np.eye(1), beta=1.0,
+                      force=force, coeffs=coeffs)
+        assert err.value.path == path
+
+    def test_smooth_quotient_builds_on_both_domains(self):
+        # the division screen runs over R^n on every domain; periodicity
+        # is the torus's own screen
+        for kind, entry in (("euclidean", "1/(2+cos(q1))"),
+                            ("torus", "1/(2+cos(2*pi*q1))")):
+            ForceField.from_potential_expr(entry, 1)
+            ModelSpec(domain=Domain(kind, 1), mass=np.eye(1), beta=1.0,
+                      force=ForceField.from_potential_expr(entry, 1),
+                      coeffs=_posdep_field(entry))
+
+    @pytest.mark.parametrize("build, path", [
+        (lambda: Domain("sphere", 1), ("kind",)),
+        (lambda: Domain("torus", 0), ("dim",)),
+        (lambda: ForceField.harmonic([[-1.0]]), ("stiffness",)),
+        (lambda: ForceField.nonconservative(2, ["q1"]), ("components",)),
+        (lambda: CoefficientField(1, 0, gamma=np.eye(1), sigma=np.eye(1)),
+         ("m",)),
+        (lambda: _posdep_field(True), ("gamma", 0, 1)),
+        (lambda: _posdep_field(float("nan")), ("gamma", 0, 1)),
+        (lambda: ModelSpec(domain=Domain("torus", 1), mass=np.eye(1),
+                           beta=0.0, force=ForceField.zero(1),
+                           coeffs=_posdep_field("1")), ("beta",)),
+    ])
+    def test_range_errors_name_their_field(self, build, path):
+        with pytest.raises((ValueError, NotPositiveError)) as err:
+            build()
+        assert err.value.path == path

