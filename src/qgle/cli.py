@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import _bath_spectrum, load_config
-from .errors import QgleError
+from .errors import NoSignalError, QgleError
 from .ergodicity import (
     Certificate,
     hormander_const_check,
@@ -45,8 +45,15 @@ from .simulate import (
     GibbsInit,
     _write_csv,
     simulate,
+    simulate_ensemble,
     trajectory_to_csv,
     write_noise_sidecar,
+)
+from .stats import (
+    clt_sigma,
+    geometric_rate_fit,
+    gibbs_moment_test,
+    gibbs_quadrature_mean,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -237,10 +244,6 @@ def _cmd_fordkac(args):
 
 def _rate_fit_report(config, integ, model, observable, replicas):
     """Relaxation-rate fit of an ensemble restarted from a displaced point."""
-    from .errors import NoSignalError
-    from .simulate import simulate_ensemble
-    from .stats import geometric_rate_fit, gibbs_quadrature_mean
-
     if observable is None:
         def observable(q):
             return np.cos(2.0 * np.pi * q[..., 0])
@@ -263,7 +266,6 @@ def _rate_fit_report(config, integ, model, observable, replicas):
 
 
 def _cmd_analyze(args):
-    from .stats import clt_sigma, gibbs_moment_test
     config = load_config(args.config)
     integ = _integrator(config, args)
     model = config.model

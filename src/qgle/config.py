@@ -203,7 +203,7 @@ def _build_coefficients(section, n, torus, path):
     q_given = section.get("Q")  # its shape is ModelSpec's to check
     q_given = None if q_given is None else _matrix(q_given, path + ("Q",))
     if kind == "prony":
-        _expect_keys(section, ("kind", "modes"), ("Q",), path)
+        _expect_keys(section, ("kind", "modes"), (), path)
         if not isinstance(section["modes"], list):
             raise ConfigError("modes must be an array", path + ("modes",))
         modes = []

@@ -6,7 +6,9 @@ matrix, algebraic Hoermander (rank) conditions, Lyapunov matrices and
 sampled drift inequalities, positive-definiteness grids for position
 dependent coefficients, and potential growth conditions on unbounded
 domains.  Sampled checks certify the inequality on their sample set only
-and say so in their notes.
+and say so in their notes.  The witness searches stop at the module
+constants _DOUBLINGS and _REFINEMENTS: a SearchExhaustedError means that a
+search stopped looking, not that no certificate exists.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import (
@@ -23,7 +26,7 @@ from .errors import (
     SolveFailureError,
     UnstableError,
 )
-from .model import PD_EIG_TOL, _as_matrix, _solve_lyapunov
+from .model import PD_EIG_TOL, _as_matrix, _grid_array, _solve_lyapunov
 
 __all__ = [
     "Certificate",
@@ -48,6 +51,8 @@ _Q_RADIUS = 5.0  # half-width of the euclidean q cube of drift_samples
 _FD_RTOL = 1e-6  # closed-form vs finite-difference generator, relative
 _GROWTH_DIRECTIONS = 64  # sphere points per radius of potential_growth_check
 _GROWTH_TOL = 1e-9  # smallest growth rate E that potential_growth_check accepts
+_DOUBLINGS = 60  # values tried by each doubling search of unbounded_certificate
+_REFINEMENTS = 50  # refinement rounds of posdep_certificate_search
 
 
 @dataclass(frozen=True)
@@ -115,24 +120,19 @@ def schur_psd(a11, a12, a22):
     margin = _min_eig(assembled)
 
     if _is_pd(a22, scale):
-        comp = a11 - a12 @ np.linalg.solve(a22, a12.T)
-        psd = _is_psd(comp, scale)
-        pd = _is_pd(comp, scale)
-        item = "i"
+        comp, item = a11 - a12 @ np.linalg.solve(a22, a12.T), "i"
     elif _is_pd(a11, scale):
-        comp = a22 - a12.T @ np.linalg.solve(a11, a12)
-        psd = _is_psd(comp, scale)
-        pd = _is_pd(comp, scale)
-        item = "ii"
+        comp, item = a22 - a12.T @ np.linalg.solve(a11, a12), "ii"
     else:
         a22g = np.linalg.pinv(a22, rcond=1e-12)
         range_defect = np.abs((np.eye(m) - a22 @ a22g) @ a12.T).max()
         comp = a11 - a12 @ a22g @ a12.T
         psd = (_is_psd(a22, scale) and _is_psd(comp, scale)
                and range_defect <= 1e-10 * scale)
-        pd = False  # a singular diagonal block rules out strict definiteness
-        item = "iii"
-    return SchurResult(psd=psd, pd=pd, margin=margin, item=item)
+        # a singular diagonal block rules out strict definiteness
+        return SchurResult(psd=psd, pd=False, margin=margin, item="iii")
+    return SchurResult(psd=_is_psd(comp, scale), pd=_is_pd(comp, scale),
+                       margin=margin, item=item)
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +224,24 @@ def hormander_const_check(coeffs, mode, H=None):
     if mode != "ii":
         raise ValueError(f"unknown mode {mode!r}")
 
-    # mode ii: saturation index per column, then the Gamma-power span
+    # mode ii: per column, the powers Gamma^k Sigma_i up to the saturation
+    # index k_i (the first with a momentum block, or dim), kept for the span
     vectors = []
     k_indices = []
-    cap = dim
     for i in range(dim):
         col = sigma[:, i]
         if np.abs(col).max() == 0:
             k_indices.append(0)
             continue
-        iterate = col.copy()
-        k_i = cap
-        for k in range(cap + 1):
-            p_part = np.abs(iterate[:n]).max() if n else 0.0
-            if p_part > RANK_TOL * max(1.0, np.abs(iterate).max()):
-                k_i = k
+        powers = [col.copy()]
+        while len(powers) <= dim:
+            last = powers[-1]
+            p_part = np.abs(last[:n]).max() if n else 0.0
+            if p_part > RANK_TOL * max(1.0, np.abs(last).max()):
                 break
-            iterate = gamma @ iterate
-        k_indices.append(k_i)
-        iterate = col.copy()
-        for k in range(min(k_i, cap) + 1):
-            vectors.append(iterate.copy())
-            iterate = gamma @ iterate
+            powers.append(gamma @ last)
+        k_indices.append(len(powers) - 1)
+        vectors += powers
     achieved = _rank(np.reshape(vectors, (-1, dim)).T)
     required = dim
     return Certificate(
@@ -305,6 +301,15 @@ def lyapunov_matrix_const(gamma):
 # Sampled drift inequality
 # ---------------------------------------------------------------------------
 
+def _sphere_points(u, radii=1.0):
+    """radii * v / |v| per row, v the normal quantiles of the uniform rows
+    ``u``: uniform directions from low-discrepancy points."""
+    directions = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return radii * directions / norms
+
+
 def drift_samples(model, n_samples=4096, radius=20.0, seed=7):
     """Deterministic low-discrepancy states: torus-uniform q (or the
     euclidean cube of half-width _Q_RADIUS) and z in the ball of the given
@@ -320,49 +325,23 @@ def drift_samples(model, n_samples=4096, radius=20.0, seed=7):
         q = u[:, :n]
     else:
         q = _Q_RADIUS * (2.0 * u[:, :n] - 1.0)
-    from scipy.special import ndtri
-    directions = ndtri(np.clip(u[:, n:n + d], 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    radii = radius * u[:, -1:] ** (1.0 / d)
-    z = radii * directions / norms
+    z = _sphere_points(u[:, n:n + d], radius * u[:, -1:] ** (1.0 / d))
     return q, z[:, :n], z[:, n:]
 
 
-class _QuadraticCandidate:
-    """Torus family: K_l = (z' C z)^l + 1."""
+class _Candidate:
+    """Drift family K_l = g^l + offset over the quadratic base z' C z.
 
-    def __init__(self, C, l):
+    Without a potential, the torus family: g = z' C z, offset 1.  With one,
+    the unbounded-domain family: g = z' C z + |q|^2 + 2 <p, q>
+    + w (V(q) - u_min) + 1, offset 0.
+    """
+
+    def __init__(self, C, l, potential=None, grad_potential=None, weight=0.0,
+                 u_min=0.0):
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
         self.l = int(l)
-        self.offset = 1.0
-
-    def g(self, q, p, s):
-        z = np.concatenate([p, s, ], axis=-1)
-        return np.einsum("...i,ij,...j->...", z, self.C, z)
-
-    def grad_q(self, q, p, s):
-        return np.zeros_like(q)
-
-    def grad_z(self, q, p, s):
-        z = np.concatenate([p, s], axis=-1)
-        return 2.0 * z @ self.C.T
-
-    def hess_zz(self):
-        return 2.0 * self.C
-
-    def value(self, q, p, s):
-        return self.g(q, p, s) ** self.l + self.offset
-
-
-class _EuclideanCandidate:
-    """Unbounded-domain family:
-    K_l = (z' C z + |q|^2 + 2 <p, q> + w (V(q) - u_min) + 1)^l."""
-
-    def __init__(self, C, l, potential, grad_potential, weight, u_min):
-        self.C = np.atleast_2d(np.asarray(C, dtype=float))
-        self.l = int(l)
-        self.offset = 0.0
+        self.offset = 1.0 if potential is None else 0.0
         self.potential = potential
         self.grad_potential = grad_potential
         self.weight = float(weight)
@@ -371,12 +350,16 @@ class _EuclideanCandidate:
     def g(self, q, p, s):
         z = np.concatenate([p, s], axis=-1)
         quad = np.einsum("...i,ij,...j->...", z, self.C, z)
+        if self.potential is None:
+            return quad
         v = np.asarray(self.potential(np.atleast_2d(q)), dtype=float)
         v = v[0] if q.ndim == 1 else v
         return (quad + np.sum(q * q, axis=-1) + 2.0 * np.sum(p * q, axis=-1)
                 + self.weight * (v - self.u_min) + 1.0)
 
     def grad_q(self, q, p, s):
+        if self.potential is None:
+            return np.zeros_like(q)
         gv = np.asarray(self.grad_potential(np.atleast_2d(q)), dtype=float)
         gv = gv[0] if q.ndim == 1 else gv
         return 2.0 * q + 2.0 * p + self.weight * gv
@@ -384,11 +367,9 @@ class _EuclideanCandidate:
     def grad_z(self, q, p, s):
         z = np.concatenate([p, s], axis=-1)
         out = 2.0 * z @ self.C.T
-        out[..., :q.shape[-1]] += 2.0 * q
+        if self.potential is not None:
+            out[..., :q.shape[-1]] += 2.0 * q
         return out
-
-    def hess_zz(self):
-        return 2.0 * self.C
 
     def value(self, q, p, s):
         return self.g(q, p, s) ** self.l + self.offset
@@ -412,7 +393,7 @@ def _apply_generator(model, cand, q, p, s):
     g_val = cand.g(q, p, s)
     grad_q = cand.grad_q(q, p, s)
     grad_z = cand.grad_z(q, p, s)
-    hess = cand.hess_zz()
+    hess = 2.0 * cand.C  # Hessian of g in z
     diffusion = np.einsum("rik,rjk->rij", smat, smat)  # Sigma Sigma'
     trace_term = 0.5 * beta_inv * np.einsum("rij,ji->r", diffusion, hess)
     quad_term = np.einsum("ri,rij,rj->r", grad_z, diffusion, grad_z)
@@ -501,14 +482,12 @@ def lyapunov_drift_constants(model, C, l, samples=None, potential_weight=1.0):
         raise ValueError("need at least 8 samples")
 
     if model.domain.is_torus:
-        cand = _QuadraticCandidate(C, l)
+        cand = _Candidate(C, l)
     else:
         if not model.force.is_conservative:
             raise ValueError("euclidean drift family needs a conservative force")
-        u_min = float(np.min(model.force.potential(q)))
-        cand = _EuclideanCandidate(C, l, model.force.potential,
-                                   model.force.grad_potential,
-                                   potential_weight, u_min)
+        cand = _Candidate(C, l, model.force.potential, model.force.grad_potential,
+                          potential_weight, np.min(model.force.potential(q)))
 
     k_vals = cand.value(q, p, s)
     l_vals = _apply_generator(model, cand, q, p, s)
@@ -568,7 +547,7 @@ def _rtilde_matrix(n, m, A, B, E, hbar, sign, g12, g21, g22, q_inv):
     ])
 
 
-def unbounded_certificate(coeffs, Q, growth_E, hbar=None, max_doublings=60):
+def unbounded_certificate(coeffs, Q, growth_E, hbar=None):
     """Search quadratic-form witnesses (A, B) for the unbounded-domain drift.
 
     Two branches, selected by the white block:
@@ -582,7 +561,8 @@ def unbounded_certificate(coeffs, Q, growth_E, hbar=None, max_doublings=60):
       branches of the force-bound form R_tilde(A, B, E; hbar) are positive
       definite.  ``hbar`` is the linear-growth bound of the force.
 
-    Raises SearchExhaustedError when a doubling cap is hit.
+    Each doubling search takes _DOUBLINGS values.  SearchExhaustedError
+    means that the search stopped looking, not that no witness exists.
     """
     if not coeffs.constant:
         raise ValueError("unbounded certificate needs constant coefficients")
@@ -593,65 +573,48 @@ def unbounded_certificate(coeffs, Q, growth_E, hbar=None, max_doublings=60):
     E = float(growth_E)
     if E <= 0:
         raise ValueError("growth constant E must be positive")
+    doublings = [2.0 ** j for j in range(_DOUBLINGS)]  # x * 2^j is exact
 
-    rank_g11 = _rank(g11)
+    if _rank(g11) == n:
+        pairs = ((0.0, B) for B in doublings)
+        keys = ("margin_base", "margin_drift")
+        notes = "white-block branch (rank G11 = n), A = 0"
+        exhausted = "B doubling cap hit on the white-block branch"
 
-    if rank_g11 == n:
-        A = 0.0
-        B = 1.0
-        for _ in range(max_doublings):
-            chat = _chat_matrix(n, m, A, B, g21, q_inv)
-            rhat = _rhat_matrix(n, m, A, B, E, g11, g12, g21, g22, q_inv)
-            rhat_s = 0.5 * (rhat + rhat.T)
-            margins = (_min_eig(chat), _min_eig(rhat_s))
-            if min(margins) > 0:
-                return Certificate(
-                    kind="lyapunov_unbounded", satisfied=True,
-                    margin=float(min(margins)),
-                    witness={"A": A, "B": B, "margin_base": margins[0],
-                             "margin_drift": margins[1]},
-                    notes="white-block branch (rank G11 = n), A = 0")
-            B *= 2.0
-        raise SearchExhaustedError("B doubling cap hit on the white-block branch")
+        def forms(A, B):
+            return (_chat_matrix(n, m, A, B, g21, q_inv),
+                    _rhat_matrix(n, m, A, B, E, g11, g12, g21, g22, q_inv))
+    else:
+        if np.abs(g11).max() > 0:
+            raise ValueError("G11 must be zero or have full rank n")
+        if hbar is None:
+            raise ValueError("the G11 = 0 branch needs the force bound hbar")
+        gram = g21.T @ g21
+        a0 = next((A for A in doublings
+                   if _min_eig(-np.eye(n) + A * gram) > 0), None)
+        if a0 is None:
+            raise SearchExhaustedError(
+                "-I + A G21' G21 never became positive definite (G21 singular?)")
+        pairs = ((a0 * a, B) for a in doublings for B in doublings)
+        keys = ("margin_base", "margin_drift_plus", "margin_drift_minus")
+        notes = "pure-colored branch (G11 = 0)"
+        exhausted = "doubling caps hit on the pure-colored branch"
 
-    if np.abs(g11).max() > 0:
-        raise ValueError("G11 must be zero or have full rank n")
-    if hbar is None:
-        raise ValueError("the G11 = 0 branch needs the force bound hbar")
+        def forms(A, B):
+            return (_chat_matrix(n, m, A, B, g21, q_inv),
+                    *(_rtilde_matrix(n, m, A, B, E, hbar, sign, g12, g21, g22,
+                                     q_inv) for sign in (+1.0, -1.0)))
 
-    gram = g21.T @ g21
-    A = 1.0
-    found_a = None
-    for _ in range(max_doublings):
-        if _min_eig(-np.eye(n) + A * gram) > 0:
-            found_a = A
-            break
-        A *= 2.0
-    if found_a is None:
-        raise SearchExhaustedError(
-            "-I + A G21' G21 never became positive definite (G21 singular?)")
-
-    A = found_a
-    for _ in range(max_doublings):
-        B = 1.0
-        for _ in range(max_doublings):
-            chat = _chat_matrix(n, m, A, B, g21, q_inv)
-            forms = [0.5 * (mat + mat.T) for mat in (
-                _rtilde_matrix(n, m, A, B, E, hbar, +1.0, g12, g21, g22, q_inv),
-                _rtilde_matrix(n, m, A, B, E, hbar, -1.0, g12, g21, g22, q_inv),
-            )]
-            margins = [_min_eig(chat)] + [_min_eig(f) for f in forms]
-            if min(margins) > 0:
-                return Certificate(
-                    kind="lyapunov_unbounded", satisfied=True,
-                    margin=float(min(margins)),
-                    witness={"A": A, "B": B, "margin_base": margins[0],
-                             "margin_drift_plus": margins[1],
-                             "margin_drift_minus": margins[2]},
-                    notes="pure-colored branch (G11 = 0)")
-            B *= 2.0
-        A *= 2.0
-    raise SearchExhaustedError("doubling caps hit on the pure-colored branch")
+    # _min_eig takes the symmetric part of each form
+    for A, B in pairs:
+        margins = [_min_eig(form) for form in forms(A, B)]
+        if min(margins) > 0:
+            return Certificate(
+                kind="lyapunov_unbounded", satisfied=True,
+                margin=float(min(margins)),
+                witness={"A": A, "B": B, **dict(zip(keys, margins))},
+                notes=notes)
+    raise SearchExhaustedError(exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +633,7 @@ class PosdepVerification:
 def posdep_certificate_verify(coeffs, C, grid):
     """Min over the grid of the smallest eigenvalue of
     Gamma(q) C + C Gamma(q)', with the per-point eigenvalue table."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] == 0:
-        raise ValueError("grid must be nonempty")
+    grid = _grid_array(coeffs, grid)
     C = _as_matrix(C, (coeffs.n + coeffs.m,) * 2, "C")
     g = coeffs.gamma(grid)
     r = g @ C + C @ np.swapaxes(g, -1, -2)
@@ -680,15 +641,17 @@ def posdep_certificate_verify(coeffs, C, grid):
     return PosdepVerification(margin=float(eigs.min()), grid=grid, eigenvalues=eigs)
 
 
-def posdep_certificate_search(coeffs, grid, max_iters=50):
+def posdep_certificate_search(coeffs, grid):
     """Find C SPD with Gamma(q) C + C Gamma(q)' positive definite on the grid.
 
     Starts from the grid-averaged Lyapunov equation mean(Gamma) C +
     C mean(Gamma)' = I; on failure, the worst-violating grid point's
     equation is stacked into a weighted least-squares system (weights double
-    on repeats) and re-solved, up to ``max_iters`` rounds.
+    on repeats) and re-solved, up to _REFINEMENTS rounds.
+    SearchExhaustedError means that the refinement stopped, not that no
+    certificate exists.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _grid_array(coeffs, grid)
     dim = coeffs.n + coeffs.m
     g = coeffs.gamma(grid)
     gbar = g.mean(axis=0)
@@ -708,7 +671,7 @@ def posdep_certificate_search(coeffs, grid, max_iters=50):
 
     constraints = [(gbar, 1.0)]
     weights = {}
-    for _ in range(max_iters + 1):
+    for _ in range(_REFINEMENTS + 1):
         c = solve_stacked(constraints)
         if np.all(np.isfinite(c)) and np.linalg.eigvalsh(c).min() > 0:
             result = posdep_certificate_verify(coeffs, c, grid)
@@ -722,24 +685,12 @@ def posdep_certificate_search(coeffs, grid, max_iters=50):
         constraints = [(gbar, 1.0)] + [
             (g[k], w) for k, w in sorted(weights.items())]
     raise SearchExhaustedError(
-        f"no positive-definite certificate after {max_iters} refinements")
+        f"no positive-definite certificate after {_REFINEMENTS} refinements")
 
 
 # ---------------------------------------------------------------------------
 # Potential growth check (unbounded domains)
 # ---------------------------------------------------------------------------
-
-def _sphere_directions(n, count, seed=11):
-    from scipy.special import ndtri
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    sobol = qmc.Sobol(d=n, scramble=True, seed=seed)
-    u = sobol.random(count)
-    vec = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(vec, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return vec / norms
-
 
 def potential_growth_check(potential, grad_potential, n, radii, trial_D,
                            force=None):
@@ -764,7 +715,11 @@ def potential_growth_check(potential, grad_potential, n, radii, trial_D,
         raise ValueError("need at least two radii to assess the growth trend")
     trial_D = sorted(float(d) for d in np.atleast_1d(trial_D))
 
-    directions = _sphere_directions(n, _GROWTH_DIRECTIONS)
+    if n == 1:
+        directions = np.array([[1.0], [-1.0]])
+    else:
+        sobol = qmc.Sobol(d=n, scramble=True, seed=11)
+        directions = _sphere_points(sobol.random(_GROWTH_DIRECTIONS))
     points = np.concatenate([r * directions for r in radii], axis=0)
     sphere_of = np.concatenate([np.full(len(directions), i)
                                 for i in range(len(radii))])

@@ -786,7 +786,7 @@ def ide_residual_check(model, traj):
     return residual
 
 
-def colored_noise_path(coeffs, Q, beta, dt, noise, eta0):
+def colored_noise_path(coeffs, beta, dt, noise, eta0):
     """Colored-noise process driven by a trajectory's stored increments.
 
     Integrates d eta = -G22 eta dt + beta^-1/2 S2 dW from eta0 (= s(0))

@@ -171,8 +171,8 @@ def test_criterion_05_noise_stationarity():
     traj = simulate(model, integ, GibbsInit())
     # the colored-noise process of the trajectory's own increments: an
     # autonomous OU started from the Gibbs-distributed s(0)
-    eta = colored_noise_path(model.coeffs, model.Q, model.beta, integ.dt,
-                             traj.noise, traj.s[0])
+    eta = colored_noise_path(model.coeffs, model.beta, integ.dt, traj.noise,
+                             traj.s[0])
     lags = np.arange(0, int(3.0 / alpha / integ.dt) + 1, 10)
     result = noise_stationarity_test(eta, model.coeffs, model.Q, model.beta,
                                      lags, integ.dt)

@@ -61,6 +61,7 @@ class TestParseConfig:
         (("output", "kernel_csv"), "kernel.csv"),
         (("fordkac", "potential"), "q1*q1/2"),
         (("model", "force", "bounded_part"), True),
+        (("coefficients", "Q"), [[2.0]]),
     ])
     def test_keys_no_code_reads_are_rejected(self, path, value):
         name = "fordkac.json" if path[0] == "fordkac" else "prony.json"
@@ -598,13 +599,11 @@ class TestDispatch:
 
     def test_rate_fit_uses_the_observable_on_a_2d_torus(self, tmp_path,
                                                          monkeypatch):
-        import importlib
-
+        import qgle.cli
         import qgle.stats
 
-        simulate_module = importlib.import_module("qgle.simulate")
         ensembles, fitted = [], []
-        run_ensemble = simulate_module.simulate_ensemble
+        run_ensemble = qgle.cli.simulate_ensemble
 
         def recording_ensemble(*args, **kwargs):
             ensembles.append(run_ensemble(*args, **kwargs))
@@ -615,9 +614,9 @@ class TestDispatch:
             return qgle.stats.RateFit(kappa=1.0, r_squared=1.0,
                                       window=(0, 3), mu=0.0)
 
-        monkeypatch.setattr(simulate_module, "simulate_ensemble",
-                            recording_ensemble)
-        monkeypatch.setattr(qgle.stats, "geometric_rate_fit", recording_fit)
+        # the CLI's own bindings: it imports both names at its top
+        monkeypatch.setattr(qgle.cli, "simulate_ensemble", recording_ensemble)
+        monkeypatch.setattr(qgle.cli, "geometric_rate_fit", recording_fit)
         raw = json.loads(golden_text())
         raw["model"]["domain"]["dim"] = 2
         raw["model"]["mass"] = [[1.0, 0.0], [0.0, 1.0]]

@@ -150,8 +150,8 @@ class TestDriftConstants:
         assert result.a > 0
         # returned pair satisfies the inequality on a fresh sample set
         q, p, s = drift_samples(model, n_samples=512, seed=123)
-        from qgle.ergodicity import _QuadraticCandidate, _apply_generator
-        cand = _QuadraticCandidate(lyap.C, 1)
+        from qgle.ergodicity import _Candidate, _apply_generator
+        cand = _Candidate(lyap.C, 1)
         k_vals = cand.value(q, p, s)
         l_vals = _apply_generator(model, cand, q, p, s)
         assert np.all(l_vals <= -result.a * k_vals + result.b + 1e-9)
@@ -178,10 +178,10 @@ class TestDriftConstants:
 
     def test_analytic_generator_matches_finite_differences(self):
         # the fd cross-check runs inside the call; also verify explicitly
-        from qgle.ergodicity import _QuadraticCandidate, _apply_generator, _fd_generator
+        from qgle.ergodicity import _Candidate, _apply_generator, _fd_generator
         model = prony_model(potential="cos(2*pi*q1)", beta=1.7)
         lyap = lyapunov_matrix_const(model.coeffs.gamma())
-        cand = _QuadraticCandidate(lyap.C, 2)
+        cand = _Candidate(lyap.C, 2)
         rng = np.random.default_rng(3)
         for _ in range(3):
             q = rng.random((1, 1))
@@ -222,6 +222,7 @@ class TestUnboundedCertificate:
         cert = unbounded_certificate(coeffs, q_mat, growth_E=1.0, hbar=1.0)
         assert cert.satisfied
         assert cert.margin > 0
+        assert (cert.witness["A"], cert.witness["B"]) == (2.0, 8.0)
         # re-verify the witness by direct eigenvalue computation
         from qgle.ergodicity import _chat_matrix, _rtilde_matrix
         a_w, b_w = cert.witness["A"], cert.witness["B"]
@@ -236,6 +237,8 @@ class TestUnboundedCertificate:
 
     @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2)])
     def test_pure_colored_branch_is_rotation_invariant(self, n, k):
+        witness = {(1, 2): (1.0, 8.0), (1, 3): (1.0, 16.0),
+                   (2, 2): (1.0, 4.0)}[n, k]
         rng = np.random.default_rng(10 * n + k)
         modes = list(zip(rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 4.0, k)))
         coeffs, q_mat = coeffs_from_prony(modes, n=n)
@@ -244,9 +247,9 @@ class TestUnboundedCertificate:
         rotated = rotate_auxiliary(coeffs, random_rotation(rng, coeffs.m))
         turned = unbounded_certificate(rotated, q_mat, growth_E=1.0, hbar=1.0)
         assert turned.satisfied
-        for key in ("A", "B"):
-            assert turned.witness[key] == pytest.approx(cert.witness[key],
-                                                        abs=1e-10)
+        # the witnesses are powers of two: exact on any BLAS build
+        assert (cert.witness["A"], cert.witness["B"]) == witness
+        assert (turned.witness["A"], turned.witness["B"]) == witness
         assert turned.margin == pytest.approx(cert.margin, abs=1e-10)
 
     def test_white_block_branch_with_two_modes(self):
@@ -256,7 +259,23 @@ class TestUnboundedCertificate:
         white = CoefficientField(1, 2, gamma=gamma, sigma=sigma)
         cert = unbounded_certificate(white, q_mat, growth_E=1.0)
         assert cert.satisfied and cert.margin > 0
-        assert cert.witness["A"] == 0.0
+        assert (cert.witness["A"], cert.witness["B"]) == (0.0, 4.0)
+
+    def test_pure_colored_search_doubles_A_in_the_outer_loop(self):
+        # -I + A G21' G21 > 0 first at A = 2, but no B works there; the
+        # first witness is the smallest B at the next A
+        coeffs, q_mat = coeffs_from_prony([(0.7, 2.0)])
+        cert = unbounded_certificate(coeffs, q_mat, growth_E=0.3, hbar=0.5)
+        assert (cert.witness["A"], cert.witness["B"]) == (4.0, 16.0)
+
+    @pytest.mark.parametrize("gamma, hbar, branch", [
+        ([[1.0, 0.0], [0.0, -1.0]], None, "white-block"),
+        ([[0.0, 0.0], [1.0, -1.0]], 1.0, "pure-colored")])
+    def test_exhausted_search_names_its_branch(self, gamma, hbar, branch):
+        # G22 = -1: no B makes the auxiliary drift block positive
+        coeffs = CoefficientField(1, 1, gamma=np.array(gamma), sigma=np.eye(2))
+        with pytest.raises(SearchExhaustedError, match=f"{branch} branch"):
+            unbounded_certificate(coeffs, np.eye(1), growth_E=1.0, hbar=hbar)
 
     def test_drift_forms_are_the_generator_of_the_base_form(self):
         # with E = hbar = 0 and no force, x' R x = -x' C_hat f(x), the
@@ -287,23 +306,13 @@ class TestUnboundedCertificate:
                                np.eye(m)), rel=1e-10)
 
     def test_singular_coupling_exhausts(self):
-        coeffs = CoefficientField(1, 2, gamma=np.array([
-            [0.0, -1.0, 0.0],
-            [1.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0]]), sigma=np.diag([0.0, np.sqrt(2.0), np.sqrt(2.0)]))
-        # G21 = (1, 0)': G21' G21 is singular only if rank < n; here n=1 so
-        # use an all-zero coupling instead
+        # G21 = 0: G21' G21 is singular, so no A makes -I + A G21' G21 > 0
         coeffs = CoefficientField(1, 1, gamma=np.array([[0.0, 0.0], [0.0, 1.0]]),
                                   sigma=np.diag([0.0, np.sqrt(2.0)]))
         with pytest.raises(SearchExhaustedError):
-            unbounded_certificate(coeffs, np.eye(1), growth_E=1.0, hbar=1.0,
-                                  max_doublings=20)
+            unbounded_certificate(coeffs, np.eye(1), growth_E=1.0, hbar=1.0)
 
     def test_mixed_white_block_rejected(self):
-        coeffs = CoefficientField(1, 2, gamma=np.zeros((3, 3)),
-                                  sigma=np.zeros((3, 3)))
-        gamma = np.zeros((3, 3))
-        gamma[0, 0] = 0.0
         # G11 neither zero nor full rank requires n >= 2
         gamma2 = np.zeros((4, 4))
         gamma2[0, 0] = 1.0  # rank 1 of a 2x2 white block
@@ -360,7 +369,19 @@ class TestPosdepCertificates:
                                   sigma_entries=entries_s)
         grid = default_grid(Domain("torus", 1), 41)
         with pytest.raises(SearchExhaustedError):
-            posdep_certificate_search(coeffs, grid, max_iters=50)
+            posdep_certificate_search(coeffs, grid)
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.random.default_rng(5).random((50, 2)), "grid dimension"),
+        (np.zeros((0, 1)), "nonempty")])
+    def test_grid_of_the_wrong_shape_is_rejected(self, example_coeffs, grid,
+                                                  message):
+        # a 50 x 2 grid on the 1-d torus used to be read from column 0, and
+        # an empty grid used to fail inside LAPACK
+        with pytest.raises(ValueError, match=message):
+            posdep_certificate_verify(example_coeffs, EXAMPLE_C, grid)
+        with pytest.raises(ValueError, match=message):
+            posdep_certificate_search(example_coeffs, grid)
 
 
 class TestPotentialGrowth:

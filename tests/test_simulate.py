@@ -723,11 +723,11 @@ class TestIdeResidual:
 
 class TestColoredNoisePath:
     def test_exact_path_is_stationary_ou(self):
-        coeffs, q_mat = coeffs_from_prony([(1.0, 1.0)])
+        coeffs, _ = coeffs_from_prony([(1.0, 1.0)])
         rng = np.random.default_rng(0)
         noise = rng.standard_normal((20_000, 2))
         eta0 = rng.standard_normal(1)
-        path = colored_noise_path(coeffs, q_mat, 1.0, 0.05, noise, eta0)
+        path = colored_noise_path(coeffs, 1.0, 0.05, noise, eta0)
         assert path.shape == (20_001, 1)
         # lag-1 autoregression factor equals the exact decay
         rho = np.mean(path[1:, 0] * path[:-1, 0]) / np.mean(path[:-1, 0] ** 2)
@@ -738,11 +738,11 @@ class TestColoredNoisePath:
         (2, [(1.0, 1.0)])])
     def test_exact_path_matches_plain_one_row_products(self, n, modes):
         # the plain map decay @ eta + factor @ xi, one row at a time
-        coeffs, q_mat = coeffs_from_prony(modes, n=n)
+        coeffs, _ = coeffs_from_prony(modes, n=n)
         rng = np.random.default_rng(len(modes) + n)
         noise = rng.standard_normal((3000, n + coeffs.m))
         eta0 = rng.standard_normal(coeffs.m)
-        path = colored_noise_path(coeffs, q_mat, 0.9, 0.01, noise, eta0)
+        path = colored_noise_path(coeffs, 0.9, 0.01, noise, eta0)
         _, _, _, g22 = coeffs.blocks(coeffs.gamma())
         _, s2 = coeffs.sigma_rows(coeffs.sigma())
         decay, _, factor = _ou_step(g22, s2 @ s2.T / 0.9, 0.01)
