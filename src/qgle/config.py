@@ -61,6 +61,9 @@ class ConfigError(QgleError):
 
 @dataclass
 class Config:
+    """A parsed run configuration; ``analysis``, ``output`` and ``fordkac``
+    hold the converted settings with their defaults filled in."""
+
     model: ModelSpec
     integrator: Optional[IntegratorSpec]
     analysis: dict
@@ -176,9 +179,9 @@ def _build_force(section, n, path):
         raise ConfigError("expected an object", path)
     kind = section.get("kind")
     linear = section.get("linear_part")
-    linear = None if linear is None else _matrix(linear, path + ("linear_part",), (n, n))
+    linear = None if linear is None else _matrix(linear, path + ("linear_part",))
     if kind == "zero":
-        _expect_keys(section, ("kind",), ("linear_part",), path)
+        _expect_keys(section, ("kind",), (), path)
         return ForceField.zero(n)
     if kind == "conservative":
         _expect_keys(section, ("kind", "potential"), ("linear_part",), path)
@@ -220,11 +223,9 @@ def _build_coefficients(section, n, torus, path):
     if kind == "constant":
         _expect_keys(section, ("kind", "m", "gamma", "sigma"), ("Q",), path)
         m = _int(section["m"], path + ("m",))
-        dim = n + m
-        coeffs = _build(
-            path, CoefficientField, n, m,
-            gamma=_matrix(section["gamma"], path + ("gamma",), (dim, dim)),
-            sigma=_matrix(section["sigma"], path + ("sigma",), (dim, dim)))
+        coeffs = _build(path, CoefficientField, n, m,
+                        gamma=_matrix(section["gamma"], path + ("gamma",)),
+                        sigma=_matrix(section["sigma"], path + ("sigma",)))
         try:
             q_mat = q_given if q_given is not None else solve_fdt_Q(coeffs).Q
         except QgleError:
@@ -265,18 +266,15 @@ def _build_coefficients(section, n, torus, path):
         _expect_keys(section, ("kind", "m_hat", "gamma1", "gamma2", "sigma"),
                      (), path)
         mh = _int(section["m_hat"], path + ("m_hat",))
-        g1 = _expect_keys(section["gamma1"], ("g11", "g12", "g21", "g22"), (),
-                          path + ("gamma1",))
-        g2 = _expect_keys(section["gamma2"], ("g12", "g22"), (),
-                          path + ("gamma2",))
-        sg = _expect_keys(section["sigma"], ("s11", "s22"), (),
-                          path + ("sigma",))
-        pair = _build(
-            path, noneq_kernels,
-            (_matrix(g1["g11"], path, (n, n)), _matrix(g1["g12"], path, (n, mh)),
-             _matrix(g1["g21"], path, (mh, n)), _matrix(g1["g22"], path, (mh, mh))),
-            (_matrix(g2["g12"], path, (n, mh)), _matrix(g2["g22"], path, (mh, mh))),
-            (_matrix(sg["s11"], path, (n, n)), _matrix(sg["s22"], path, (mh, mh))))
+        blocks = []
+        for name, keys in (("gamma1", ("g11", "g12", "g21", "g22")),
+                           ("gamma2", ("g12", "g22")), ("sigma", ("s11", "s22"))):
+            sub = _expect_keys(section[name], keys, (), path + (name,))
+            blocks.append([_matrix(sub[key], path + (name, key)) for key in keys])
+        pair = _build(path, noneq_kernels, *blocks)
+        if pair.coeffs.m != 2 * mh:
+            raise ConfigError(f"must match the size of gamma1.g22, got {mh}",
+                              path + ("m_hat",))
         return pair.coeffs, None, None
     raise ConfigError(f"unknown coefficients kind {kind!r}", path + ("kind",))
 
@@ -387,7 +385,7 @@ def parse_config(text):
     n = domain.dim
     beta = _setting(model_sec, "beta", ("model",), _float, 1.0)
     mass = model_sec.get("mass")
-    mass = np.eye(n) if mass is None else _matrix(mass, ("model", "mass"), (n, n))
+    mass = np.eye(n) if mass is None else _matrix(mass, ("model", "mass"))
     force = _build_force(model_sec["force"], n, ("model", "force"))
     coeffs, q_mat, default_c = _build_coefficients(
         raw["coefficients"], n, domain.is_torus, ("coefficients",))
@@ -428,5 +426,6 @@ def parse_config(text):
 
 
 def load_config(path):
+    """``parse_config`` of the UTF-8 file at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())

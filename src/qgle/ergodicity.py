@@ -80,6 +80,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SchurResult:
+    """Verdict of ``schur_psd`` on a symmetric block matrix."""
+
     psd: bool
     pd: bool
     margin: float  # min eigenvalue of the assembled matrix

@@ -98,6 +98,9 @@ def fordkac_spectrum_for_exponential(c, alpha, m_modes, omega_max):
 
 @dataclass
 class FordKacTrajectory:
+    """Explicit-bath particle path: q, p and the total energy at each output
+    time; ``meta`` holds the spectrum, beta, dt, seed and the bath kernel."""
+
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
@@ -300,6 +303,8 @@ def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
     m_list = list(m_list)
     if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be increasing")
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T!r}")
     if omega_max is None:
         omega_max = 20.0 * alpha
     if T == 0:
@@ -308,7 +313,7 @@ def fordkac_vs_gle(c, alpha, m_list, force, T, n_ensemble, seed, beta=1.0,
                                  lags=np.array([0.0]), gle_vacf=np.zeros(1))
     dt_out = dt * stride
     n_lags = int(round(T / dt_out))
-    t_sim = 3.0 * T if T > 0 else dt  # extra length for time-origin averaging
+    t_sim = 3.0 * T  # extra length for time-origin averaging
 
     # matched one-mode extended-variable reference, equilibrium start
     coeffs, q_aux = coeffs_from_prony([(c, alpha)])

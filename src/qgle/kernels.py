@@ -5,22 +5,23 @@ The dissipation kernel of a constant-coefficient model is
     K(tau) = delta(tau) G11 - G12 expm(-G22 tau) G21,
 
 a Dirac part plus a matrix-exponential colored part; a Prony series
-sum_i c_i exp(-alpha_i tau) is the diagonal special case.  This module
-evaluates kernels, builds coefficient fields from Prony modes and assembles
-the non-equilibrium kernel pair of models without fluctuation-dissipation
+sum_i c_i exp(-alpha_i tau) is the diagonal special case.  ``MemoryKernel``
+is the one kernel type: ``kernel_eval`` and ``spectral_density`` work for
+any of them, and the noise covariance and both kernels of the
+non-equilibrium pair of models without fluctuation-dissipation are kernels
+of this form.  This module also builds coefficient fields from Prony modes
 (the kernel of an explicit bath is in ``qgle.fordkac``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
-from .errors import UnstableError
-from .model import CoefficientField, _as_matrix
+from .errors import UnstableError, _located
+from .model import CoefficientField, _as_matrix, _checked
 
 __all__ = [
     "MemoryKernel",
@@ -35,40 +36,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Dirac part plus colored part of a dissipation kernel.
-
-    ``colored_kind`` is "matrix_exp" (blocks g12, g22, g21) or "prony"
-    (modes list of (c_i, alpha_i) with positive entries).
+    """K(tau) = delta(tau) G11 - G12 expm(-G22 tau) G21 of a
+    constant-coefficient model: the Dirac part G11 (``delta_part``, n x n)
+    and the blocks g12 (n x m), g22 (m x m) and g21 (m x n) of the colored
+    part.  A shape error names the field at fault; g12 fixes n and m.
     """
 
-    n: int
     delta_part: np.ndarray
-    colored_kind: str
-    g12: np.ndarray = None
-    g22: np.ndarray = None
-    g21: np.ndarray = None
-    modes: Tuple[Tuple[float, float], ...] = None
+    g12: np.ndarray
+    g22: np.ndarray
+    g21: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_part",
-                           _as_matrix(self.delta_part, (self.n, self.n), "delta_part"))
-        if self.colored_kind == "matrix_exp":
-            m = _as_matrix(self.g22).shape[0]
-            object.__setattr__(self, "g12", _as_matrix(self.g12, (self.n, m), "g12"))
-            object.__setattr__(self, "g22", _as_matrix(self.g22, (m, m), "g22"))
-            object.__setattr__(self, "g21", _as_matrix(self.g21, (m, self.n), "g21"))
-        elif self.colored_kind == "prony":
-            modes = tuple((float(c), float(a)) for c, a in self.modes)
-            if any(c <= 0 or a <= 0 for c, a in modes):
-                raise ValueError("prony modes need c_i > 0 and alpha_i > 0")
-            object.__setattr__(self, "modes", modes)
-        else:
-            raise ValueError(f"unknown colored kind {self.colored_kind!r}")
+        n, m = _checked(("g12",), _as_matrix, self.g12, None, "g12").shape
+        for name, shape in (("delta_part", (n, n)), ("g12", (n, m)),
+                            ("g22", (m, m)), ("g21", (m, n))):
+            object.__setattr__(self, name, _checked(
+                (name,), _as_matrix, getattr(self, name), shape, name))
+
+    @property
+    def n(self):
+        return self.delta_part.shape[0]
 
     @classmethod
     def from_prony(cls, modes, n=1):
-        return cls(n=n, delta_part=np.zeros((n, n)), colored_kind="prony",
-                   modes=tuple(modes))
+        """Kernel of sum_i c_i exp(-alpha_i tau) I_n, with no Dirac part."""
+        return cls.from_coeffs(coeffs_from_prony(modes, n)[0])
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -76,22 +69,15 @@ class MemoryKernel:
         if not coeffs.constant:
             raise ValueError("kernel extraction needs constant coefficients")
         g11, g12, g21, g22 = coeffs.blocks(coeffs.gamma())
-        return cls(n=coeffs.n, delta_part=g11, colored_kind="matrix_exp",
-                   g12=g12, g22=g22, g21=g21)
+        return cls(g11, g12, g22, g21)
 
 
 def kernel_eval(kernel, tau):
-    """Colored part of the kernel at lag tau >= 0 (n x n matrix).
-
-    matrix_exp: -G12 expm(-G22 tau) G21; prony: the diagonal embedding of
-    sum_i c_i exp(-alpha_i tau).
-    """
+    """Colored part -G12 expm(-G22 tau) G21 of the kernel at lag tau >= 0
+    (n x n matrix)."""
     if tau < 0:
         raise ValueError("kernel lag must be nonnegative")
-    if kernel.colored_kind == "matrix_exp":
-        return -kernel.g12 @ expm(-kernel.g22 * tau) @ kernel.g21
-    value = sum(c * np.exp(-a * tau) for c, a in kernel.modes)
-    return value * np.eye(kernel.n)
+    return -kernel.g12 @ expm(-kernel.g22 * tau) @ kernel.g21
 
 
 def noise_covariance_eval(coeffs, Q, beta, tau):
@@ -108,7 +94,8 @@ def noise_covariance_eval(coeffs, Q, beta, tau):
         raise ValueError("stationary noise covariance needs constant coefficients")
     Q = _as_matrix(Q, (coeffs.m, coeffs.m), "Q")
     _, g12, _, g22 = coeffs.blocks(coeffs.gamma())
-    return (g12 @ expm(-g22 * tau) @ Q @ g12.T) / beta
+    covariance = MemoryKernel(np.zeros((coeffs.n, coeffs.n)), g12, g22, -Q @ g12.T)
+    return kernel_eval(covariance, tau) / beta
 
 
 def coeffs_from_prony(modes, n=1):
@@ -143,82 +130,75 @@ def coeffs_from_prony(modes, n=1):
 
 
 def spectral_density(kernel, k):
-    """Spectral density of a Prony kernel, sum_i c_i alpha_i /
-    (pi (alpha_i^2 + k^2)); even, positive, integrates to sum_i c_i."""
-    if kernel.colored_kind != "prony":
-        raise ValueError("spectral density is implemented for prony kernels")
-    k = np.asarray(k, dtype=float)
-    out = np.zeros_like(k, dtype=float)
-    for c, a in kernel.modes:
-        out = out + c * a / (np.pi * (a**2 + k**2))
-    return out if out.ndim else float(out)
+    """Cosine transform (1/pi) int_0^inf K(t) cos(k t) dt of the colored
+    part, (1/pi) Re[-G12 (G22 + i k I)^-1 G21], of shape ``k.shape + (n, n)``
+    like ``kernel_eval``; even in k.  A Prony kernel gives sum_i c_i alpha_i /
+    (pi (alpha_i^2 + k^2)) I_n, which integrates over k to sum_i c_i I_n."""
+    shift = 1j * np.asarray(k, dtype=float)[..., None, None]
+    shifted = kernel.g22 + shift * np.eye(kernel.g22.shape[0])
+    rhs = np.broadcast_to(kernel.g21, shifted.shape[:-1] + (kernel.n,))
+    return (-kernel.g12 @ np.linalg.solve(shifted, rhs)).real / np.pi
 
 
 @dataclass(frozen=True)
 class NoneqKernels:
-    """Dissipation kernel K1 and noise covariance K2 of a model without
-    fluctuation-dissipation, plus the stacked coefficient field."""
+    """Dissipation kernel K1 and random-force covariance K2 of a model
+    without fluctuation-dissipation, plus the stacked coefficient field."""
 
-    k1_delta: np.ndarray
-    k2_delta: np.ndarray
+    k1: MemoryKernel
+    k2: MemoryKernel
     coeffs: CoefficientField
-    _g1: tuple = None
-    _g2: tuple = None
-
-    def k1(self, t):
-        """Colored part of the dissipation kernel."""
-        g11, g12, g21, g22 = self._g1
-        return -g12 @ expm(-g22 * t) @ g21
-
-    def k2(self, t):
-        """Colored part of the random-force covariance."""
-        g12, g22 = self._g2
-        return g12 @ expm(-g22 * t) @ g12.T
 
 
-def _stable_or_raise(g22, name):
+def _stable_or_raise(g22, name, *path):
     eigs = np.linalg.eigvals(g22)
     if eigs.real.min() <= 0:
-        raise UnstableError(f"-{name} is not stable (min real part "
-                            f"{eigs.real.min():.3e})")
+        raise _located(UnstableError(f"-{name} is not stable (min real part "
+                                     f"{eigs.real.min():.3e})"), *path)
+
+
+def _branch(paths, *blocks):
+    """``MemoryKernel(*blocks)``; a shape error carries the key path of its
+    block, ``paths`` listing those of delta_part, g12, g22 and g21."""
+    try:
+        return MemoryKernel(*blocks)
+    except ValueError as err:
+        err.path = paths[("delta_part", "g12", "g22", "g21").index(err.path[0])]
+        raise
 
 
 def noneq_kernels(g1_blocks, g2_blocks, sigma_blocks):
     """Assemble the kernel pair of the stacked non-equilibrium model.
 
-    ``g1_blocks`` = (G11, G12, G21, G22) with shapes (n,n), (n,mh), (mh,n),
-    (mh,mh) drives the dissipation; ``g2_blocks`` = (G12, G22) drives the
-    colored noise; ``sigma_blocks`` = (S11, S22) are the white-noise factor
-    and the auxiliary noise factor of the noise branch.  K1(t) =
-    delta(t) G11 - G12 expm(-t G22) G21 and K2(t) = 2 delta(t) S11 +
-    G12 expm(-t G22) G12'.  Also builds the (n + 2 mh)-dimensional constant
-    coefficient field stacking both branches.
+    ``g1_blocks`` = (G11, G12, G21, G22), of shapes (n,n), (n,mh), (mh,n),
+    (mh,mh), drives the dissipation K1(t) = delta(t) G11 - G12 expm(-t G22)
+    G21.  ``g2_blocks`` = (G12, G22) and the white and auxiliary noise
+    factors ``sigma_blocks`` = (S11, S22) drive the random-force covariance
+    K2(t) = 2 delta(t) S11 + G12 expm(-t G22) G12', the kernel (2 S11, G12,
+    G22, -G12').  Also builds the (n + 2 mh)-dimensional constant
+    coefficient field stacking both branches.  A shape error carries the
+    key path of its block, ("gamma1", "g11") to ("sigma", "s22").
     """
-    g11_1, g12_1, g21_1, g22_1 = (np.atleast_2d(np.asarray(b, dtype=float))
-                                  for b in g1_blocks)
-    g12_2, g22_2 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in g2_blocks)
-    s11, s22 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in sigma_blocks)
-    n = g11_1.shape[0]
-    mh = g22_1.shape[0]
+    g11_1, g12_1, g21_1, g22_1 = g1_blocks
+    g12_2, g22_2 = g2_blocks
+    s11, s22 = (_as_matrix(block) for block in sigma_blocks)
+    k1 = _branch([("gamma1", key) for key in ("g11", "g12", "g22", "g21")],
+                 g11_1, g12_1, g22_1, g21_1)
+    n, mh = k1.g12.shape
+    g12_2 = _checked(("gamma2", "g12"), _as_matrix, g12_2, (n, mh), "g12")
+    k2 = _branch([("sigma", "s11"), ("gamma2", "g12"), ("gamma2", "g22"),
+                  ("gamma2", "g12")], 2.0 * s11, g12_2, g22_2, -g12_2.T)
+    s22 = _checked(("sigma", "s22"), _as_matrix, s22, (mh, mh), "s22")
     # a branch with no coupling contributes no colored part, so its
     # auxiliary drift need not be stable
-    if np.abs(g12_1).max() > 0 or np.abs(g21_1).max() > 0:
-        _stable_or_raise(g22_1, "G22 (dissipation branch)")
-    if np.abs(g12_2).max() > 0:
-        _stable_or_raise(g22_2, "G22 (noise branch)")
+    if np.abs(k1.g12).max() > 0 or np.abs(k1.g21).max() > 0:
+        _stable_or_raise(k1.g22, "G22 (dissipation branch)", "gamma1", "g22")
+    if np.abs(k2.g12).max() > 0:
+        _stable_or_raise(k2.g22, "G22 (noise branch)", "gamma2", "g22")
 
-    dim = n + 2 * mh
-    gamma = np.zeros((dim, dim))
-    gamma[:n, :n] = g11_1
-    gamma[:n, n:n + mh] = g12_1
-    gamma[:n, n + mh:] = g12_2
-    gamma[n:n + mh, :n] = g21_1
-    gamma[n:n + mh, n:n + mh] = g22_1
-    gamma[n + mh:, n + mh:] = g22_2
-    sigma = np.zeros((dim, dim))
-    sigma[:n, :n] = s11
-    sigma[n + mh:, n + mh:] = s22
+    gamma = block_diag(k1.delta_part, k1.g22, k2.g22)
+    gamma[:n, n:] = np.hstack([k1.g12, g12_2])
+    gamma[n:n + mh, :n] = k1.g21
+    sigma = block_diag(s11, np.zeros((mh, mh)), s22)
     coeffs = CoefficientField(n, 2 * mh, gamma=gamma, sigma=sigma)
-    return NoneqKernels(k1_delta=g11_1, k2_delta=2.0 * s11, coeffs=coeffs,
-                        _g1=(g11_1, g12_1, g21_1, g22_1),
-                        _g2=(g12_2, g22_2))
+    return NoneqKernels(k1=k1, k2=k2, coeffs=coeffs)

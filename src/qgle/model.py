@@ -60,6 +60,8 @@ _G11_ZERO_TOL = 1e-12  # purecolor_check: G11 counts as zero below this, relativ
 
 def _as_matrix(a, shape=None, name="matrix"):
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got {a.ndim} dimensions")
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     return a

@@ -161,7 +161,9 @@ class EnsembleResult:
 
 
 def model_fingerprint(model):
-    """Stable digest of the model's defining data."""
+    """Stable digest of the model's defining data.  The force enters by its
+    kind, each expression source with its field path and ``linear_part``, so
+    a force given as a Python callable enters by its kind only."""
     h = hashlib.sha256()
     h.update(model.domain.kind.encode())
     h.update(struct.pack("<qd", model.domain.dim, model.beta))
@@ -177,6 +179,9 @@ def model_fingerprint(model):
     if model.Q is not None:
         h.update(np.ascontiguousarray(model.Q).tobytes())
     h.update(model.force.kind.encode())
+    h.update(repr(list(model.force._sources)).encode())
+    if model.force.linear_part is not None:
+        h.update(np.ascontiguousarray(model.force.linear_part).tobytes())
     return h.hexdigest()[:16]
 
 

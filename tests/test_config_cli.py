@@ -77,6 +77,14 @@ class TestParseConfig:
         assert str(err.value).startswith(".".join(path[:-1]) + ": ")
         assert repr(path[-1]) in str(err.value)
 
+    def test_zero_force_takes_no_linear_part(self):
+        # ForceField.zero keeps no harmonic part, so the key would change nothing
+        raw = json.loads(golden_text())
+        raw["model"]["force"] = {"kind": "zero", "linear_part": [[2.0]]}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert str(err.value) == "model.force: unknown key 'linear_part'"
+
     def test_every_accepted_section_key_is_read(self):
         # an accepted analysis/output/fordkac key must be looked up by the
         # parser or the CLI, or it is a setting that changes no result
@@ -277,6 +285,31 @@ class TestParseConfig:
         config = parse_config(json.dumps(raw))
         assert config.model.coeffs.m == 2
         assert config.model.Q is None
+
+    @pytest.mark.parametrize("where, value, path", [
+        (("gamma2", "g12"), [[0.5, 0.1]], ("gamma2", "g12")),
+        (("gamma1", "g22"), [[1.0, 0.0], [0.0, 1.0]], ("gamma1", "g22")),
+        (("sigma", "s22"), [[2.0, 0.0]], ("sigma", "s22")),
+        (("m_hat",), 2, ("m_hat",)),
+    ])
+    def test_noneq_shape_errors_name_the_block(self, where, value, path):
+        raw = json.loads(golden_text())
+        raw["model"]["force"] = {"kind": "zero"}
+        raw["coefficients"] = {
+            "kind": "noneq", "m_hat": 1,
+            "gamma1": {"g11": [[0.0]], "g12": [[-1.0]], "g21": [[1.0]],
+                        "g22": [[1.0]]},
+            "gamma2": {"g12": [[0.5]], "g22": [[2.0]]},
+            "sigma": {"s11": [[0.2]], "s22": [[2.0]]}}
+        node = raw["coefficients"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.path == ("coefficients",) + path
+        assert str(err.value).startswith(
+            ".".join(("coefficients",) + path) + ": ")
 
     def test_constant_kind_without_fdt_solution_parses_without_q(self):
         # G22 = [[0, 1], [-1, 0]] leaves the auxiliary Lyapunov equation

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from qgle.errors import UnstableError
@@ -23,9 +24,7 @@ from conftest import random_prony_modes, random_rotation, rotate_auxiliary
 
 class TestKernelEval:
     def test_matrix_exp_at_zero(self):
-        kernel = MemoryKernel(n=1, delta_part=np.zeros((1, 1)),
-                              colored_kind="matrix_exp",
-                              g12=[[-1.0]], g22=[[0.7]], g21=[[1.0]])
+        kernel = MemoryKernel(np.zeros((1, 1)), [[-1.0]], [[0.7]], [[1.0]])
         assert kernel_eval(kernel, 0.0) == pytest.approx(np.ones((1, 1)))
 
     def test_prony_values(self):
@@ -34,9 +33,7 @@ class TestKernelEval:
         assert kernel_eval(kernel, np.log(2.0) / 3.0) == pytest.approx(np.array([[1.0]]))
 
     def test_zero_coupling_gives_zero(self):
-        kernel = MemoryKernel(n=1, delta_part=np.zeros((1, 1)),
-                              colored_kind="matrix_exp",
-                              g12=[[0.0]], g22=[[1.0]], g21=[[1.0]])
+        kernel = MemoryKernel(np.zeros((1, 1)), [[0.0]], [[1.0]], [[1.0]])
         for tau in (0.0, 0.5, 3.0):
             assert np.all(kernel_eval(kernel, tau) == 0.0)
 
@@ -56,9 +53,20 @@ class TestKernelEval:
                     expected, abs=1e-10)
 
     def test_delta_part_accessor(self):
-        kernel = MemoryKernel(n=1, delta_part=[[0.4]], colored_kind="prony",
-                              modes=((1.0, 1.0),))
+        kernel = MemoryKernel([[0.4]], [[-1.0]], [[1.0]], [[1.0]])
         assert kernel.delta_part == pytest.approx(np.array([[0.4]]))
+        assert kernel.n == 1
+
+    @pytest.mark.parametrize("blocks, field", [
+        (([[0.0, 0.0]], [[-1.0]], [[1.0]], [[1.0]]), "delta_part"),
+        ((np.zeros((1, 1)), [[-0.5]], np.eye(2), [[1.0]]), "g22"),
+        ((np.zeros((1, 1)), [[-0.5]], [[1.0]], [[1.0, 2.0]]), "g21"),
+        ((np.zeros((1, 1)), np.zeros((1, 1, 1)), [[1.0]], [[1.0]]), "g12"),
+    ])
+    def test_block_shapes_are_checked(self, blocks, field):
+        with pytest.raises(ValueError) as err:
+            MemoryKernel(*blocks)
+        assert err.value.path == (field,)
 
 
 class TestNoiseCovariance:
@@ -119,6 +127,13 @@ class TestAuxiliaryRotation:
             expected = kernel_eval(kernel, tau)
             assert np.allclose(kernel_eval(kernel_turned, tau), expected,
                                rtol=1e-10, atol=1e-12)
+
+    def test_spectral_density_is_invariant(self, n, n_modes):
+        _, coeffs, _, turned, _ = self.rotated(n, n_modes, 33)
+        ks = np.array([0.0, 0.3, 2.0, 15.0])
+        expected = spectral_density(MemoryKernel.from_coeffs(coeffs), ks)
+        got = spectral_density(MemoryKernel.from_coeffs(turned), ks)
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_noise_covariance_eval_is_invariant(self, n, n_modes):
         rng, coeffs, q_mat, turned, u = self.rotated(n, n_modes, 32)
@@ -223,8 +238,8 @@ class TestSpectralDensity:
         kernel = MemoryKernel.from_prony([(1.0, 1.0)])
         ks = np.linspace(-100.0, 100.0, 200_001)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        integral = trapezoid(spectral_density(kernel, ks), ks)
-        assert integral == pytest.approx(1.0, abs=1e-2)
+        integral = trapezoid(spectral_density(kernel, ks), ks, axis=0)
+        assert integral == pytest.approx(np.ones((1, 1)), abs=1e-2)
 
     def test_positive_at_random_points(self):
         rng = np.random.default_rng(4)
@@ -232,10 +247,28 @@ class TestSpectralDensity:
         ks = rng.uniform(-50.0, 50.0, size=1000)
         assert np.all(spectral_density(kernel, ks) > 0.0)
 
-    def test_matrix_exp_kernel_rejected(self):
-        coeffs, _ = coeffs_from_prony([(1.0, 1.0)])
-        with pytest.raises(ValueError):
-            spectral_density(MemoryKernel.from_coeffs(coeffs), 0.0)
+    def test_from_coeffs_and_from_prony_agree(self):
+        modes = [(1.0, 1.0), (0.3, 2.5)]
+        coeffs, _ = coeffs_from_prony(modes, n=2)
+        ks = np.linspace(-8.0, 8.0, 17)
+        density = spectral_density(MemoryKernel.from_coeffs(coeffs), ks)
+        assert density.shape == (17, 2, 2)
+        assert np.array_equal(
+            density, spectral_density(MemoryKernel.from_prony(modes, n=2), ks))
+        prony_sum = sum(c * a / (np.pi * (a**2 + ks**2)) for c, a in modes)
+        assert np.allclose(density, prony_sum[:, None, None] * np.eye(2),
+                           rtol=1e-14, atol=1e-16)
+
+    def test_cosine_transform_oracle(self):
+        # a non-diagonal kernel whose G22 has complex eigenvalues 0.75 +- 1.98i;
+        # past t = 60 the kernel is below e^-45
+        kernel = MemoryKernel(np.zeros((1, 1)), [[-1.0, 0.3]],
+                              [[1.0, -2.0], [2.0, 0.5]], [[0.8], [0.1]])
+        for k in (0.0, 0.7, 3.0):
+            value, _ = quad(lambda t: kernel_eval(kernel, t)[0, 0], 0.0, 60.0,
+                            weight="cos", wvar=k, limit=400)
+            assert spectral_density(kernel, k)[0, 0] == pytest.approx(
+                value / np.pi, rel=1e-9, abs=1e-11)
 
 
 class TestNoneqKernels:
@@ -247,7 +280,8 @@ class TestNoneqKernels:
         pair = noneq_kernels((np.zeros((1, 1)), g12, g21, g22), (g12, g22),
                              (np.zeros((1, 1)), g22 + g22.T))
         for t in (0.0, 0.4, 2.0):
-            assert np.allclose(pair.k1(t), pair.k2(t), atol=1e-12)
+            assert np.allclose(kernel_eval(pair.k1, t),
+                               kernel_eval(pair.k2, t), atol=1e-12)
 
     def test_noise_covariance_psd_at_zero(self):
         rng = np.random.default_rng(6)
@@ -257,7 +291,7 @@ class TestNoneqKernels:
                               np.zeros((2, 2)), np.eye(2)),
                              (g12, 0.5 * (g22 + g22.T)),
                              (np.zeros((2, 2)), np.eye(2)))
-        k2_zero = pair.k2(0.0)
+        k2_zero = kernel_eval(pair.k2, 0.0)
         assert np.allclose(k2_zero, k2_zero.T)
         assert np.linalg.eigvalsh(k2_zero).min() >= -1e-12
 
@@ -267,9 +301,9 @@ class TestNoneqKernels:
             (np.zeros((1, 1)),) * 4,
             (np.zeros((1, 1)), np.zeros((1, 1))),
             (s11, np.zeros((1, 1))))
-        assert np.all(pair.k1(1.0) == 0.0)
-        assert np.all(pair.k2(1.0) == 0.0)
-        assert np.allclose(pair.k2_delta, 2.0 * s11)
+        assert np.all(kernel_eval(pair.k1, 1.0) == 0.0)
+        assert np.all(kernel_eval(pair.k2, 1.0) == 0.0)
+        assert np.allclose(pair.k2.delta_part, 2.0 * s11)
         assert pair.coeffs.n == 1 and pair.coeffs.m == 2
 
     def test_unstable_branch_rejected(self):
@@ -277,6 +311,24 @@ class TestNoneqKernels:
             noneq_kernels((np.zeros((1, 1)), [[1.0]], [[1.0]], [[-1.0]]),
                           ([[0.0]], [[1.0]]),
                           (np.zeros((1, 1)), [[1.0]]))
+
+    @pytest.mark.parametrize("g1, g2, sigma, path", [
+        # a (1, 1) G12 beside a 2 x 2 G22 was broadcast into the stacked Gamma
+        (([[0.0]], [[-0.5]], [[0.5]], np.eye(2)), ([[0.3]], [[2.0]]),
+         ([[0.1]], [[2.0]]), ("gamma1", "g22")),
+        (([[0.0]], [[-0.5]], [[0.5]], [[1.0]]), ([[0.3, 0.1]], [[2.0]]),
+         ([[0.1]], [[2.0]]), ("gamma2", "g12")),
+        (([[0.0]], [[-0.5]], [[0.5]], [[1.0]]), ([[0.3]], np.eye(2)),
+         ([[0.1]], [[2.0]]), ("gamma2", "g22")),
+        (([[0.0]], [[-0.5]], [[0.5]], [[1.0]]), ([[0.3]], [[2.0]]),
+         (np.eye(2), [[2.0]]), ("sigma", "s11")),
+        (([[0.0]], [[-0.5]], [[0.5]], [[1.0]]), ([[0.3]], [[2.0]]),
+         ([[0.1]], np.eye(2)), ("sigma", "s22")),
+    ])
+    def test_block_shape_errors_name_the_block(self, g1, g2, sigma, path):
+        with pytest.raises(ValueError) as err:
+            noneq_kernels(g1, g2, sigma)
+        assert err.value.path == path
 
     def test_stacked_field_blocks(self):
         g12_1 = np.array([[-0.5]])
@@ -294,7 +346,6 @@ class TestNoneqKernels:
 def test_cosine_transform_identity_oracle():
     # the quadrature target: int_0^inf (2 a / pi) cos(w t) / (a^2 + w^2) dw
     # equals e^{-a t}; verified here by direct numerical integration
-    from scipy.integrate import quad
     for t in (0.0, 0.5, 2.0):
         value, _ = quad(lambda w: (2.0 / np.pi) / (1.0 + w**2),
                         0.0, np.inf, weight="cos", wvar=t, limit=400)

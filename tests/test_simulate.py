@@ -949,6 +949,10 @@ class TestFordKac:
         assert result.passed
         assert result.rows[0][1] == 0.0
 
+    def test_vs_gle_rejects_negative_t(self):
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            fordkac_vs_gle(1.0, 1.0, [8], None, T=-0.5, n_ensemble=4, seed=0)
+
 
 class TestFileFormats:
     def test_trajectory_csv_layout(self, tmp_path):
@@ -1009,10 +1013,28 @@ def test_fingerprint_distinguishes_models():
     assert model_fingerprint(a) == model_fingerprint(prony_model(modes=((1.0, 1.0),)))
 
 
+@pytest.mark.parametrize("force_a, force_b", [
+    (lambda: ForceField.from_potential_expr("cos(2*pi*q1)", 1),
+     lambda: ForceField.from_potential_expr("3*cos(4*pi*q1)", 1)),
+    (lambda: ForceField.harmonic([[1.0]]), lambda: ForceField.harmonic([[5.0]])),
+    (lambda: ForceField.nonconservative(1, ["1.0"]),
+     lambda: ForceField.nonconservative(1, ["5.0"])),
+], ids=["potential", "harmonic", "nonconservative"])
+def test_fingerprint_covers_the_force(force_a, force_b):
+    def model(force):
+        coeffs, q_mat = coeffs_from_prony([(1.0, 1.0)])
+        return ModelSpec(domain=Domain("euclidean", 1), mass=np.eye(1),
+                         beta=1.0, force=force, coeffs=coeffs, Q=q_mat)
+
+    assert model_fingerprint(model(force_a())) != model_fingerprint(model(force_b()))
+    assert model_fingerprint(model(force_a())) == model_fingerprint(model(force_a()))
+
+
 def test_position_dependent_fingerprint_is_stable():
-    # the digest covers the parsed coefficient entries, not how they are
-    # evaluated: literal entries compiled to constants leave it as it was
-    assert model_fingerprint(_posdep_model()) == "d56528ae40dc07a3"
+    # the digest covers the parsed coefficient entries and the potential's
+    # source, not how they are evaluated: literal entries compiled to
+    # constants leave it as it was
+    assert model_fingerprint(_posdep_model()) == "5e7729198f95aff6"
 
 
 def test_splitting_operators_are_built_once_per_dt():
