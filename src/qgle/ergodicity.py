@@ -563,8 +563,12 @@ def unbounded_certificate(coeffs, Q, growth_E, hbar=None):
       branches of the force-bound form R_tilde(A, B, E; hbar) are positive
       definite.  ``hbar`` is the linear-growth bound of the force.
 
-    Each doubling search takes _DOUBLINGS values.  SearchExhaustedError
-    means that the search stopped looking, not that no witness exists.
+    A form counts as positive definite when its least eigenvalue exceeds
+    PD_EIG_TOL times its max-norm (at least 1), so a pair whose large entries
+    leave only rounding noise in the margin is not a witness; the reported
+    margins are the plain least eigenvalues.  Each doubling search takes
+    _DOUBLINGS values.  SearchExhaustedError means that the search stopped
+    looking, not that no witness exists.
     """
     if not coeffs.constant:
         raise ValueError("unbounded certificate needs constant coefficients")
@@ -607,10 +611,11 @@ def unbounded_certificate(coeffs, Q, growth_E, hbar=None):
                     *(_rtilde_matrix(n, m, A, B, E, hbar, sign, g12, g21, g22,
                                      q_inv) for sign in (+1.0, -1.0)))
 
-    # _min_eig takes the symmetric part of each form
+    # _is_pd and _min_eig take the symmetric part of each form
     for A, B in pairs:
-        margins = [_min_eig(form) for form in forms(A, B)]
-        if min(margins) > 0:
+        candidate = forms(A, B)
+        if all(_is_pd(form) for form in candidate):
+            margins = [_min_eig(form) for form in candidate]
             return Certificate(
                 kind="lyapunov_unbounded", satisfied=True,
                 margin=float(min(margins)),

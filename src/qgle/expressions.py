@@ -12,9 +12,9 @@ Validation screens (both raise :class:`ExpressionError`):
   rejected outright, on every domain (``ForceField`` and ``CoefficientField``
   run this screen and the dimension check on each tree they are given);
 * on torus domains, ``q_i`` may appear only inside ``sin``/``cos`` whose
-  argument is affine in ``q`` with every slope an integer multiple of ``2*pi``
-  (this makes the entry 1-periodic in each component by construction;
-  ``ModelSpec`` runs this screen).
+  argument is affine in ``q``, every slope (its symbolic derivative, so any
+  constant subexpression may appear) an integer multiple of ``2*pi``; the
+  entry is 1-periodic by construction (``ModelSpec`` runs this screen).
 """
 
 from __future__ import annotations
@@ -353,6 +353,8 @@ def diff_expr(expr, index):
         return _add(_mul(dl, expr.right), _mul(expr.left, dr))
     # quotient rule: (l'r - l r') / r^2
     numerator = _sub(_mul(dl, expr.right), _mul(expr.left, dr))
+    if numerator == _ZERO:
+        return _ZERO
     return BinOp("/", numerator, BinOp("*", expr.right, expr.right))
 
 
@@ -407,40 +409,6 @@ def _interval(expr):
     return (min(corners), max(corners))
 
 
-def _affine(expr):
-    """Return (slopes dict, intercept) if expr is affine in q, else None."""
-    if isinstance(expr, Num):
-        return ({}, expr.value)
-    if isinstance(expr, Var):
-        return ({expr.index: 1.0}, 0.0)
-    if isinstance(expr, Call):
-        return None
-    left = _affine(expr.left)
-    right = _affine(expr.right)
-    if left is None or right is None:
-        return None
-    lslopes, lconst = left
-    rslopes, rconst = right
-    if expr.op in "+-":
-        sign = 1.0 if expr.op == "+" else -1.0
-        slopes = dict(lslopes)
-        for idx, slope in rslopes.items():
-            slopes[idx] = slopes.get(idx, 0.0) + sign * slope
-        return (slopes, lconst + sign * rconst)
-    if expr.op == "*":
-        if lslopes and rslopes:
-            return None  # quadratic
-        if lslopes:
-            return ({i: s * rconst for i, s in lslopes.items()}, lconst * rconst)
-        return ({i: s * lconst for i, s in rslopes.items()}, lconst * rconst)
-    # division by a constant keeps affineness; anything else does not
-    if rslopes:
-        return None
-    if rconst == 0.0:
-        return None
-    return ({i: s / rconst for i, s in lslopes.items()}, lconst / rconst)
-
-
 def _torus_safe(expr):
     if isinstance(expr, Num):
         return True
@@ -451,13 +419,17 @@ def _torus_safe(expr):
             return True
         if expr.func == "exp":
             return _torus_safe(expr.arg)  # exp of q is never periodic
-        affine = _affine(expr.arg)
-        if affine is None:
-            return False
-        slopes, _ = affine
-        for slope in slopes.values():
-            cycles = slope / (2.0 * math.pi)
-            if abs(cycles - round(cycles)) > _CYCLES_TOL:
+        for i in range(max_q_index(expr.arg) + 1):
+            slope = diff_expr(expr.arg, i)
+            if max_q_index(slope) >= 0:
+                return False
+            try:
+                lo, hi = _interval(slope)
+            except ExpressionError:  # a slope that divides by 0 has no value
+                return False
+            cycles = lo / (2.0 * math.pi)
+            if (lo != hi or not math.isfinite(cycles)
+                    or abs(cycles - round(cycles)) > _CYCLES_TOL):
                 return False
         return True
     return _torus_safe(expr.left) and _torus_safe(expr.right)
@@ -467,7 +439,9 @@ def screen_torus_periodicity(expr):
     """Reject entries that are not 1-periodic by construction.
 
     q components must occur only inside sin/cos whose argument is affine in q
-    with slopes in 2*pi*Z.
+    with slopes in 2*pi*Z.  The slope along q_i is ``diff_expr(arg, i)``, which
+    must be free of q and have a finite value (the point ``_interval`` gives);
+    constant subexpressions of any form may appear in the argument.
     """
     if not _torus_safe(expr):
         raise ExpressionError(

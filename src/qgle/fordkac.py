@@ -129,8 +129,15 @@ def _fordkac_run(force, spectrum, beta, dt, T, stride, rng, q0, p0,
     The stored total energies p^2/2 + U(q) + sum b_p^2/(2 m_b)
     + sum k (b_q - q)^2/2 are summed in that order from (R, nb) rows
     computed in the scratch buffer; with ``energy`` false they are not
-    computed (None).
+    computed (None).  Raises ValueError, naming the argument, unless dt > 0,
+    T >= 0, stride >= 1 and beta > 0.
     """
+    for name, value, rule, ok in (("dt", dt, "positive", dt > 0),
+                                  ("T", T, "nonnegative", T >= 0),
+                                  ("stride", stride, "at least 1", stride >= 1),
+                                  ("beta", beta, "positive", beta > 0)):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
     n_steps = int(round(T / dt))
     force = ForceField.zero(1) if force is None else force
     grad = force._grad

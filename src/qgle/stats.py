@@ -272,13 +272,15 @@ def clt_sigma(series, method="green_kubo_window", dt=1.0, n_batches=32):
     sequence rule); the error estimate is the standard windowed-sum formula
     sigma^2 sqrt((4W + 2)/N).
 
-    batch_means: dt * L * var(batch means) over n_batches batches of length
-    L; stderr sigma^2 sqrt(2/(B - 1)).
+    batch_means: dt * L * var(batch means) over n_batches >= 2 batches of
+    length L; stderr sigma^2 sqrt(2/(B - 1)).
     """
     series = np.asarray(series, dtype=float)
     n = series.shape[0]
     if n < 16:
         raise ValueError("series too short for an asymptotic variance")
+    if method == "batch_means" and n_batches < 2:
+        raise ValueError(f"n_batches must be at least 2, got {n_batches!r}")
     centered = series - series.mean()
     if np.all(centered == 0):
         return SigmaEstimate(0.0, 0.0, method, {"n": n})

@@ -14,7 +14,9 @@ from qgle.ergodicity import (
     unbounded_certificate,
 )
 from qgle.kernels import coeffs_from_prony
-from qgle.model import CoefficientField, Domain, ForceField, ModelSpec, default_grid
+from qgle.model import (PD_EIG_TOL, CoefficientField, Domain, ForceField,
+                        ModelSpec, default_grid, purecolor_check,
+                        stability_margin, verify_fdt)
 
 from conftest import (
     EXAMPLE_C,
@@ -268,6 +270,31 @@ class TestUnboundedCertificate:
         cert = unbounded_certificate(coeffs, q_mat, growth_E=0.3, hbar=0.5)
         assert (cert.witness["A"], cert.witness["B"]) == (4.0, 16.0)
 
+    @pytest.mark.parametrize("hbar, witness", [(1.0, (4.0, 32.0)),
+                                               (3.0, (4.0, 128.0))])
+    def test_pure_colored_witness_clears_rounding_noise(self, hbar, witness):
+        # with no tolerance the search accepted B = 2^55 (hbar = 1), where
+        # the forms' entries are so large that a positive least eigenvalue
+        # is rounding noise; each form of the witness must clear
+        # PD_EIG_TOL relative to its max-norm
+        from qgle.ergodicity import _chat_matrix, _rtilde_matrix
+        coeffs, q_mat = coeffs_from_prony(
+            [(0.6928553041537995, 2.2474725185404023)])
+        cert = unbounded_certificate(coeffs, q_mat, growth_E=0.3, hbar=hbar)
+        a_w, b_w = cert.witness["A"], cert.witness["B"]
+        assert (a_w, b_w) == witness
+        g12, g21, g22 = (coeffs.gamma()[:1, 1:], coeffs.gamma()[1:, :1],
+                         coeffs.gamma()[1:, 1:])
+        forms = [_chat_matrix(1, 1, a_w, b_w, g21, np.eye(1))] + [
+            _rtilde_matrix(1, 1, a_w, b_w, 0.3, hbar, sign, g12, g21, g22,
+                           np.eye(1)) for sign in (1.0, -1.0)]
+        for form in forms:
+            sym = 0.5 * (form + form.T)
+            assert (np.linalg.eigvalsh(sym).min()
+                    > PD_EIG_TOL * max(1.0, np.abs(form).max()))
+        assert cert.margin == pytest.approx(min(
+            np.linalg.eigvalsh(0.5 * (f + f.T)).min() for f in forms))
+
     @pytest.mark.parametrize("gamma, hbar, branch", [
         ([[1.0, 0.0], [0.0, -1.0]], None, "white-block"),
         ([[0.0, 0.0], [1.0, -1.0]], 1.0, "pure-colored")])
@@ -320,6 +347,43 @@ class TestUnboundedCertificate:
         coeffs2 = CoefficientField(2, 2, gamma=gamma2, sigma=np.zeros((4, 4)))
         with pytest.raises(ValueError):
             unbounded_certificate(coeffs2, np.eye(2), growth_E=1.0, hbar=1.0)
+
+
+class TestAuxiliaryRotationInvariance:
+    """s -> U s with U orthogonal maps a Prony model to an equivalent one
+    (Gamma -> T Gamma T', Sigma -> T Sigma, T = diag(I_n, U), Q = I stays);
+    the constant-coefficient verdicts must not see the change."""
+
+    @staticmethod
+    def systems(count=40):
+        rng = np.random.default_rng(33)
+        for _ in range(count):
+            n = int(rng.integers(1, 3))
+            coeffs, q_mat = coeffs_from_prony(random_prony_modes(rng), n=n)
+            rotated = rotate_auxiliary(coeffs, random_rotation(rng, coeffs.m))
+            yield coeffs, rotated, q_mat
+
+    @pytest.mark.parametrize("mode", ["ii", "iii"])
+    def test_hormander(self, mode):
+        for coeffs, rotated, _ in self.systems():
+            cert = hormander_const_check(coeffs, mode)
+            turned = hormander_const_check(rotated, mode)
+            assert (turned.satisfied, turned.margin, turned.witness) == (
+                cert.satisfied, cert.margin, cert.witness)
+
+    def test_stability_margin_and_lyapunov_rate(self):
+        for coeffs, rotated, _ in self.systems():
+            assert stability_margin(rotated) == pytest.approx(
+                stability_margin(coeffs), rel=1e-12)
+            assert lyapunov_matrix_const(rotated.gamma()).lam == pytest.approx(
+                lyapunov_matrix_const(coeffs.gamma()).lam, rel=1e-12)
+
+    def test_fdt_and_purecolor_defects_stay_at_roundoff(self):
+        for coeffs, rotated, q_mat in self.systems():
+            tol = 1e-12 * max(1.0, np.abs(coeffs.gamma()).max())
+            for check in (verify_fdt, purecolor_check):
+                assert check(coeffs, q_mat) <= tol
+                assert check(rotated, q_mat) <= tol
 
 
 class TestPosdepCertificates:

@@ -107,6 +107,59 @@ def test_torus_periodicity_screen():
         screen_torus_periodicity(parse_expr("cos(q1*q1)"))
     with pytest.raises(ExpressionError):
         screen_torus_periodicity(parse_expr("exp(q1)"))
+    # run without the division screen: a slope that divides by zero is
+    # this screen's rejection
+    with pytest.raises(ExpressionError, match="on a torus"):
+        screen_torus_periodicity(parse_expr("cos(2*pi*q1/(1-1))"))
+
+
+@pytest.mark.parametrize("text", [
+    "cos(2*pi*q1+sin(1))", "sin(2*pi*(q1+exp(0-1)))",
+    "cos(2*pi*q1+cos(2*pi*0.25))",
+    # d/dq1 of the constant 0.5/pi is the literal zero, so the slope is
+    # free of q
+    "cos((q1+q1)/(0.5/pi))"])
+def test_torus_screen_allows_constant_subexpressions(text):
+    validate_expr(parse_expr(text), 1, torus=True)
+
+
+@pytest.mark.parametrize("text", [
+    "cos(q1+sin(1))", "cos(2*pi*q1*q1)", "q1*sin(2*pi*q1)",
+    # slopes without a finite value: 2 pi e^1000 overflows (rejected, not
+    # an OverflowError), sin(inf) has no value, and the slope of q1/1e-200
+    # is (2 pi 1e-200)/(1e-200*1e-200), whose denominator underflows to 0
+    "cos(2*pi*q1*exp(1000))", "cos(2*pi*sin(exp(1000))*q1)",
+    "cos(2*pi*q1/1e-200)"])
+def test_torus_screen_rejects_non_integer_or_non_constant_slopes(text):
+    with pytest.raises(ExpressionError, match="on a torus"):
+        validate_expr(parse_expr(text), 1, torus=True)
+
+
+_NUMBERS = st.floats(-10.0, 10.0, allow_nan=False)
+_CONSTANTS = st.recursive(
+    st.one_of(_NUMBERS.map(Num),
+              st.builds(Call, st.sampled_from(["sin", "cos", "exp"]),
+                        _NUMBERS.map(Num))),
+    lambda sub: st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]),
+                          sub, sub),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-20, 20),
+       st.one_of(st.just(0.0), st.floats(1e-6, 1.0 - 1e-6)),
+       _CONSTANTS, st.sampled_from(["sin", "cos"]))
+def test_torus_screen_accepts_exactly_integer_cycles(whole, part, c, func):
+    # argument k*2*pi*q1 + c with a constant subtree c: the slope is
+    # 2 pi k whatever c is, so the entry is periodic iff k is an integer
+    term = BinOp("*", BinOp("*", BinOp("*", Num(whole + part), Num(2.0)),
+                            Num(math.pi)), Var(0))
+    entry = Call(func, BinOp("+", term, c))
+    if part == 0.0:
+        screen_torus_periodicity(entry)
+    else:
+        with pytest.raises(ExpressionError):
+            screen_torus_periodicity(entry)
 
 
 def test_validate_dimension_gate():
@@ -197,6 +250,12 @@ def test_cos_gradient_drops_dead_terms():
     assert diff_expr(parse_expr("cos(2*pi*q1)"), 0) == BinOp(
         "*", BinOp("-", Num(0.0), Call("sin", parse_expr("2*pi*q1"))),
         BinOp("*", Num(2.0), Num(math.pi)))
+
+
+def test_constant_quotient_has_zero_derivative():
+    # (0*r - l*0)/(r*r) is not emitted: d/dq1 q1*(1/3) is 1/3 alone
+    assert diff_expr(parse_expr("0.5/pi"), 0) == Num(0.0)
+    assert diff_expr(parse_expr("q1*(1/3)"), 0) == parse_expr("1/3")
 
 
 def test_compile_matches_tree_walker():

@@ -932,6 +932,19 @@ class TestFordKac:
             with pytest.raises(FloatingPointError):
                 go()
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("stride", 0), ("beta", -1.0)])
+    def test_run_arguments_are_checked(self, name, value):
+        # each would otherwise fail deep inside the run (a zero division,
+        # a negative array size, or a blowup at step 1)
+        spectrum = FordKacSpectrum(((1.0, 1.0),))
+        args = {"beta": 1.0, "dt": 1e-2, "T": 0.1, "stride": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fordkac_simulate(None, spectrum, seed=0, q0=0.0, p0=0.0, **args)
+        if name != "beta":  # the ensemble draws with sqrt(beta) first
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                fordkac_ensemble(None, spectrum, seed=0, n_replicas=4, **args)
+
     def test_nonconservative_force_is_refused(self):
         force = ForceField.nonconservative(1, lambda q: -q)
         spectrum = FordKacSpectrum(((1.0, 1.0),))

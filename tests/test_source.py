@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import qgle
@@ -33,3 +34,13 @@ def test_every_public_name_has_a_docstring():
                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                     and node.name in public and not ast.get_docstring(node)]
     assert SOURCES and missing == []
+
+
+def test_readme_python_examples_run():
+    # a renamed or removed public name breaks this test, not only the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

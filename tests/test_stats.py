@@ -182,6 +182,13 @@ class TestCltSigma:
         with pytest.raises(ValueError):
             clt_sigma(np.arange(5.0))
 
+    @pytest.mark.parametrize("n_batches", [1, 0])
+    def test_batch_means_needs_two_batches(self, n_batches):
+        # one batch has no variance, zero batches no length
+        x = np.random.default_rng(3).standard_normal(1000)
+        with pytest.raises(ValueError, match="n_batches"):
+            clt_sigma(x, "batch_means", n_batches=n_batches)
+
     def test_langevin_momentum_variance(self):
         # white-noise-limit momentum block: sigma^2 = 2/(beta gamma)
         gamma_fric, beta = 1.0, 1.0
