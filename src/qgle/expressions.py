@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -82,6 +84,9 @@ _TOKEN_RE = re.compile(
 
 _FUNCS = ("sin", "cos", "exp")
 _CYCLES_TOL = 1e-9  # torus screen: slope / (2 pi) must be this near an integer
+# and at most this large: beyond it, rounding the argument 2 pi c q alone
+# moves f(q + 1) away from f(q) by about 1e-6
+_MAX_CYCLES = 1e9
 
 
 def _tokenize(text):
@@ -195,6 +200,31 @@ def parse_expr(text):
 
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_EXP_MAX = 709.78  # np.exp overflows just above log(DBL_MAX) = 709.7827...
+
+
+def _divide(a, b):
+    """a / b on floats, raising where b is infinite: a float overflow,
+    silent where the ufunc reports it, would vanish in the quotient."""
+    if math.isinf(b):
+        raise FloatingPointError("division by an infinity")
+    return a / b
+
+
+def _exp(x):
+    """np.exp of a float as a float (``math.exp`` rounds differently),
+    raising where the ufunc would overflow or where x is -inf, which would
+    turn a silent float overflow into 0."""
+    if not -math.inf < x < _EXP_MAX:
+        raise FloatingPointError(f"exp of {x!r}")
+    return float(np.exp(x))
+
+
+# the float form of each call of a program; IEEE +, -, *, / and this
+# build's sin and cos give the ufuncs' bits (a test guards that)
+_FLOAT_OPS = {np.add: operator.add, np.subtract: operator.sub,
+              np.multiply: operator.mul, np.divide: _divide,
+              np.sin: math.sin, np.cos: math.cos, np.exp: _exp}
 
 
 class _Evaluator:
@@ -208,11 +238,13 @@ class _Evaluator:
     i, ("t", i) scratch row i and ("o", i) the output of tree i; a ufunc
     writes its last slot, ``np.copyto`` its first.  ``constants`` holds the
     value of each constant tree (else None), which ``bind`` writes once.
+    ``point`` runs the same program on Python floats at one point.
     """
 
     def __init__(self, trees):
         self.trees = tuple(trees)
         self._program = None
+        self._registers = None
 
     @property
     def program(self):
@@ -280,6 +312,52 @@ class _Evaluator:
         out = np.empty((len(q), len(self.trees)))
         self.bind(q, out.T)()
         return out
+
+    def point(self, q):
+        """The list of the trees' values at the point ``q``, a list of n
+        floats, by the program on Python floats (``_FLOAT_OPS``), which
+        gives the bits of the (1, n) batch.  One flat register list holds
+        the folded constants, the scratch values, the outputs (a constant
+        tree's written once) and q, copied afresh for each call.  Raises
+        ArithmeticError or ValueError (sin or cos of an infinity) where a
+        float cannot show an error that the ufuncs report: a division by
+        zero, and a division or an exp that would drop an infinity or
+        overflow (``_divide``, ``_exp``)."""
+        if self._registers is None:
+            program, k = self.program, len(self._consts)
+            base = {"k": 0, "t": k, "o": k + self._n_temps,
+                    "q": k + self._n_temps + len(self.trees)}
+            ops = []
+            for fn, args in program:
+                slots = [base[kind] + i for kind, i in args]
+                if fn is np.copyto:
+                    ops.append((operator.pos, slots[0], slots[1], None))
+                else:
+                    ops.append((_FLOAT_OPS[fn], slots[-1], slots[0],
+                                slots[1] if len(slots) == 3 else None))
+            init = [float(value) for value in self._consts]
+            init += [0.0] * self._n_temps
+            init += [0.0 if value is None else float(value)
+                     for value in self.constants]
+            self._registers = (init, ops, base["o"], base["q"])
+        init, ops, first, last = self._registers
+        reg = init + q
+        for fn, dest, a, b in ops:
+            reg[dest] = fn(reg[a]) if b is None else fn(reg[a], reg[b])
+        return reg[first:last]
+
+    def at(self, q):
+        """The list of the trees' values at the 1-d point ``q`` by
+        ``point``, or None where the (1, n) batch must give them because
+        it may report an error: ``point`` raised, a value is not finite,
+        or numpy does not ignore underflow, which floats never report."""
+        if np.geterr()["under"] != "ignore":
+            return None
+        try:
+            values = self.point(q.tolist())
+        except (ArithmeticError, ValueError):
+            return None
+        return values if all(map(math.isfinite, values)) else None
 
 
 def compile_exprs(trees):
@@ -351,11 +429,24 @@ def diff_expr(expr, index):
         return _sub(dl, dr)
     if expr.op == "*":
         return _add(_mul(dl, expr.right), _mul(expr.left, dr))
-    # quotient rule: (l'r - l r') / r^2
+    # quotient rule: (l'r - l r') / r^2, or l'/r where r is free of q and
+    # r*r would overflow or leave the normal floats
     numerator = _sub(_mul(dl, expr.right), _mul(expr.left, dr))
     if numerator == _ZERO:
         return _ZERO
+    if max_q_index(expr.right) < 0 and not _normal_square(expr.right):
+        return BinOp("/", dl, expr.right)
     return BinOp("/", numerator, BinOp("*", expr.right, expr.right))
+
+
+def _normal_square(expr):
+    """Whether the square of the q-free ``expr`` is a normal float (true
+    where ``_interval`` gives it no single value)."""
+    try:
+        lo, hi = _interval(expr)
+    except ExpressionError:
+        return True
+    return lo != hi or sys.float_info.min <= lo * lo <= sys.float_info.max
 
 
 def max_q_index(expr):
@@ -428,7 +519,7 @@ def _torus_safe(expr):
             except ExpressionError:  # a slope that divides by 0 has no value
                 return False
             cycles = lo / (2.0 * math.pi)
-            if (lo != hi or not math.isfinite(cycles)
+            if (lo != hi or not abs(cycles) <= _MAX_CYCLES
                     or abs(cycles - round(cycles)) > _CYCLES_TOL):
                 return False
         return True
@@ -440,8 +531,9 @@ def screen_torus_periodicity(expr):
 
     q components must occur only inside sin/cos whose argument is affine in q
     with slopes in 2*pi*Z.  The slope along q_i is ``diff_expr(arg, i)``, which
-    must be free of q and have a finite value (the point ``_interval`` gives);
-    constant subexpressions of any form may appear in the argument.
+    must be free of q and have a value (the point ``_interval`` gives) of at
+    most ``_MAX_CYCLES`` turns; constant subexpressions of any form may appear
+    in the argument.
     """
     if not _torus_safe(expr):
         raise ExpressionError(

@@ -108,6 +108,17 @@ class FordKacTrajectory:
     meta: dict = field(default_factory=dict)
 
 
+def _check_run(dt, T, stride, beta):
+    """Raise ValueError, naming the argument, unless dt > 0, T >= 0,
+    stride >= 1 and beta > 0."""
+    for name, value, rule, ok in (("dt", dt, "positive", dt > 0),
+                                  ("T", T, "nonnegative", T >= 0),
+                                  ("stride", stride, "at least 1", stride >= 1),
+                                  ("beta", beta, "positive", beta > 0)):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _fordkac_run(force, spectrum, beta, dt, T, stride, rng, q0, p0,
                  n_replicas=1, energy=True):
     """Velocity-Verlet on the full Hamiltonian, batched over replicas, for
@@ -129,15 +140,9 @@ def _fordkac_run(force, spectrum, beta, dt, T, stride, rng, q0, p0,
     The stored total energies p^2/2 + U(q) + sum b_p^2/(2 m_b)
     + sum k (b_q - q)^2/2 are summed in that order from (R, nb) rows
     computed in the scratch buffer; with ``energy`` false they are not
-    computed (None).  Raises ValueError, naming the argument, unless dt > 0,
-    T >= 0, stride >= 1 and beta > 0.
+    computed (None).  The arguments are checked first (``_check_run``).
     """
-    for name, value, rule, ok in (("dt", dt, "positive", dt > 0),
-                                  ("T", T, "nonnegative", T >= 0),
-                                  ("stride", stride, "at least 1", stride >= 1),
-                                  ("beta", beta, "positive", beta > 0)):
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    _check_run(dt, T, stride, beta)
     n_steps = int(round(T / dt))
     force = ForceField.zero(1) if force is None else force
     grad = force._grad
@@ -259,6 +264,7 @@ def fordkac_ensemble(force, spectrum, beta, dt, T, seed, n_replicas,
     Returns (times, q, p, energy) with (R, K) paths; with ``energy`` false
     the total energies are not computed (None).
     """
+    _check_run(dt, T, stride, beta)  # before beta enters the draws
     rng = _philox(seed, 0, purpose=3)
     q0 = _harmonic_q0(force, beta, rng, n_replicas)
     p0 = rng.standard_normal(n_replicas) / np.sqrt(beta)

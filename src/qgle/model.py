@@ -118,10 +118,17 @@ class Domain:
         return np.mod(q, 1.0) if self.is_torus else np.asarray(q, dtype=float)
 
 
-def _batched(fn, q):
-    """Call fn on (R, n) input; accept (n,) and return matching shape."""
+def _batched(fn, q, columns=None, negate=False):
+    """Call fn on (R, n) input; accept (n,) and return matching shape.  A
+    single point of a field whose values are the expression ``columns``
+    (negated for ``negate``) is evaluated by their float program where it
+    can (``_Evaluator.at``)."""
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
+    values = columns.at(q) if single and columns is not None else None
+    if values is not None:
+        values = np.array(values)
+        return -values if negate else values
     out = fn(q[None, :] if single else q)
     out = np.asarray(out, dtype=float)
     return out[0] if single else out
@@ -138,7 +145,8 @@ class ForceField:
     (``-grad U``).  A field built from expressions keeps, as ``_columns``,
     one evaluator (``compile_exprs``) of the n components of the gradient
     of its potential or, if it is not conservative, of its force; the
-    integrators evaluate them together with the coefficients.  The
+    integrators evaluate them together with the coefficients, and the force
+    and gradient at a single point come from their float program.  The
     expression constructors run the dimension check and the division screen
     on each expression and keep its tree and field path in ``_sources``.
     ``linear_part``, when given, is the SPD stiffness H of a harmonic part
@@ -166,7 +174,7 @@ class ForceField:
                 _checked(("potential",), self._check_gradient)
 
     def __call__(self, q):
-        return _batched(self._force, q)
+        return _batched(self._force, q, self._columns, self.is_conservative)
 
     def potential(self, q):
         if self._potential is None:
@@ -177,7 +185,7 @@ class ForceField:
     def grad_potential(self, q):
         if self._grad is None:
             raise NonConservativeError("force has no potential gradient")
-        return _batched(self._grad, q)
+        return _batched(self._grad, q, self._columns)
 
     @property
     def is_conservative(self):
@@ -261,10 +269,11 @@ class CoefficientField:
     nonzero entries of a zero-filled buffer by one evaluator
     (``compile_exprs``) per matrix, kept with their positions as ``_gamma``
     and ``_sigma``; the evaluator writes the literal entries once and
-    computes the others.  The position-dependent Euler step evaluates both
-    matrices and the force by one evaluator instead.  Construction runs the
-    dimension check and the division screen on each expression entry and
-    keeps its tree and field path in ``_sources``.
+    computes the others (at a single point, by its float program).  The
+    position-dependent Euler step evaluates both matrices and the force by
+    one evaluator instead.  Construction runs the dimension check and the
+    division screen on each expression entry and keeps its tree and field
+    path in ``_sources``.
     """
 
     def __init__(self, n, m, gamma=None, sigma=None,
@@ -332,7 +341,12 @@ class CoefficientField:
         batch = q[None, :] if q.ndim == 1 else q
         out = np.zeros((len(batch),) + (self.n + self.m,) * 2)
         positions, evaluator = field
-        evaluator.bind(batch, [out[:, i, j] for i, j in positions])()
+        values = evaluator.at(q) if q.ndim == 1 else None
+        if values is None:
+            evaluator.bind(batch, [out[:, i, j] for i, j in positions])()
+        else:
+            for (i, j), value in zip(positions, values):
+                out[0, i, j] = value
         return out[0] if q.ndim == 1 else out
 
     # block accessors on an evaluated matrix

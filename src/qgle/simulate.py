@@ -34,6 +34,21 @@ chunk that ends non-finite (or raised a floating-point error the caller
 does not ignore) is restored from its start and replayed step by step, so
 a blowup reports the same step index and warnings as a per-step check.
 
+A single replica with constant coefficients (splitting or Euler) runs each
+chunk once as a sweep on Python floats instead.  Only the products whose
+bits come from BLAS stay numpy calls: the one-row (p, s) expm(-A dt)'
+(splitting) or (M^-1 p, s) Gamma' (Euler), and p M^-1' under a general
+mass.  The half-kicks, drifts, torus reductions, increments and stride
+bookkeeping are IEEE operations on floats, with the bits of the one-element
+ufuncs.  An expression force runs the float form of its evaluator program
+(``+ - * /`` as operator functions, ``math.sin``, ``math.cos``, ``np.exp``;
+``_Evaluator.point``), any other force is called on the (1, n) buffer as in
+the numpy body.  Floats report no floating-point error, so a chunk whose
+sweep raised, recorded a numpy error or ended non-finite (q included) is
+restored and replayed step by step through the numpy body, which then
+reports as above; a caller that does not ignore underflow gets the numpy
+body throughout.
+
 A chunk's noise lives in one buffer of the run, allocated once and laid out
 step-major as (chunk, replicas, n+m), so a step reads one contiguous
 (replicas, n+m) slab; it holds replicas x chunk x (n+m) values.  The
@@ -55,7 +70,10 @@ way to import this module's names.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -358,7 +376,7 @@ def _resolve_initial(model, initial, rng):
 
 
 def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
-                 begin=None):
+                 begin=None, sweep=None):
     """Run ``body`` n_steps times, checking finiteness once per chunk of
     ``chunk`` steps (the caller's choice; the last chunk may be shorter).
 
@@ -367,6 +385,10 @@ def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
     ``take`` steps that follows step ``step``; ``store(out)`` records the
     state as output row ``out`` after every ``stride``-th step (row 0 is
     the caller's); ``finite()`` says whether the state is finite.
+    ``sweep(step, take, out)``, if given, runs the whole chunk in place of
+    ``body`` and ``store`` (it stores its own rows and returns the next
+    one) unless numpy does not ignore underflow; the checked replay always
+    runs ``body``.
 
     Each chunk runs with numpy's floating-point errors
     recorded instead of reported (categories the caller ignores stay
@@ -389,6 +411,8 @@ def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
     faults = []
     watch = {key: "ignore" if mode == "ignore" else "call"
              for key, mode in np.geterr().items() if key != "under"}
+    if np.geterr()["under"] != "ignore":
+        sweep = None  # floats cannot report an underflow
     chunk = max(1, min(n_steps, chunk))
     step = 0
     out = 1
@@ -401,7 +425,10 @@ def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
         try:
             with np.errstate(**watch,
                              call=lambda kind, flag: faults.append(kind)):
-                end = advance(step, take, out, checked=False)
+                if sweep is None:
+                    end = advance(step, take, out, checked=False)
+                else:
+                    end = sweep(step, take, out)
         except Exception:
             # raised by a step after a blowup, perhaps; the checked replay
             # raises whichever error a per-step check meets first
@@ -467,6 +494,40 @@ def _force_kick(model, q, out, scale, gamma=None, sigma=None):
     return kick
 
 
+def _floats(a):
+    """The bound ``tolist`` of a flat float view of the C-contiguous array
+    ``a``: its entries as one list of floats, at less cost than a.tolist."""
+    return memoryview(a).cast("B").cast("d").tolist
+
+
+def _put(a, k):
+    """``put(*values)``, which writes k floats over the first k entries of
+    the C-contiguous float array ``a``."""
+    return functools.partial(struct.Struct(f"{k}d").pack_into,
+                             memoryview(a).cast("B"), 0)
+
+
+def _float_kick(model, q, out, scale, kick):
+    """Return ``kick_at(qv)``, the list scale * F(q) at the point q given as
+    a list of floats.  The expression columns of the force run their float
+    program (``_Evaluator.point``) and are scaled on floats as ``kick``
+    scales them; any other force is kicked by ``kick`` (``_force_kick``) on
+    the (1, n) buffers ``q`` and ``out``, so it is called as in the numpy
+    body."""
+    force = model.force
+    if force._columns is None:
+        put_q, out_floats = _put(q, model.n), _floats(out)
+
+        def kick_at(qv):
+            put_q(*qv)
+            kick()
+            return out_floats()
+        return kick_at
+    point = force._columns.point
+    times = float((-1 if force.is_conservative else 1) * scale).__mul__
+    return lambda qv: list(map(times, point(qv)))
+
+
 def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     """Advance R replicas n_steps; returns strided arrays (+ full noise).
 
@@ -498,6 +559,17 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     chunk is ``_NOISE_BUDGET`` // (R (n+m)) steps clamped to [64, 4096];
     the other schemes keep 4096 steps, since their product over fewer rows
     can round differently and the bits would then depend on R.
+
+    At R = 1 the splitting and constant-coefficient Euler schemes also
+    build ``sweep``, their body over a whole chunk on Python floats (see the
+    module docstring): it reads q, (p, s) and, for splitting, ``pc`` and
+    ``hf`` from the buffers as lists at the chunk start, keeps the BLAS row
+    products on the buffers (it writes p or (p, s) into ``z`` before each
+    and reads the product as floats), evaluates the force by
+    ``_float_kick``, keeps the stored rows as one flat list and writes
+    them into ``qs``, ``ps`` and ``ss`` and the state into its buffers at
+    the chunk end.  It raises when q ends non-finite, which ``finite``
+    does not check, so that chunk is replayed by ``body``.
     """
     n, m = model.n, model.m
     dim = n + m
@@ -541,6 +613,48 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
         else:
             q[...] = qt
 
+    if R == 1 and (splitting or coeffs.constant):
+        # the chunk sweep on Python floats, around the BLAS row products
+        put_z, put_p, row_size = _put(z, dim), _put(z, n), 8 * dim
+        matmul, add = np.matmul, operator.add
+        if minv_t is not None:
+            vel_floats = _floats(vel)
+
+            def float_velocity():
+                """M^-1 p on floats, by the row product of ``zp``."""
+                matmul(zp, minv_t, vel)
+                return vel_floats()
+
+        # the (p, s) rows of a chunk's stored states, copied from ``z``
+        z_rows = np.empty((chunk, dim))
+        rows, z_bytes = memoryview(z_rows).cast("B"), memoryview(z).cast("B")
+
+        def keep(kept, width, size, out):
+            """Write the chunk's stored states into rows ``out`` on: q (and,
+            at ``width`` 2n, p) kept flat as floats in ``kept``, (p, s) in
+            the first ``size`` bytes of ``rows``; returns the next row."""
+            count = size // row_size
+            end = out + count
+            floats = np.fromiter(kept, float, len(kept)).reshape(count, width)
+            qs[0, out:end] = floats[:, :n]
+            ps[0, out:end] = floats[:, n:] if width > n else z_rows[:count, :n]
+            ss[0, out:end] = z_rows[:count, n:]
+            return end
+
+        def increments(take):
+            """One iterator over the chunk's transformed increments, step
+            by step; ``map`` and ``zip`` stop at their first exhausted
+            argument, the (p, s) list of a step, and so take n+m each."""
+            return iter(buf[:take, 0].ravel().tolist())
+
+        def finite_q(qv):
+            """Raise unless q is finite, since ``finite`` does not look at
+            q and a float drift or reduction that left it non-finite
+            reported nothing."""
+            if not all(map(math.isfinite, qv)):
+                raise FloatingPointError("non-finite position")
+    sweep = None
+
     if splitting:
         cache = _SplittingCache.for_model(model, dt)
         decay_t = cache.decay.T
@@ -568,6 +682,46 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
             move()
             force_kick()
             np.add(zp, hf, out=pc)              # closing half-kick
+
+        if R == 1:
+            kick_at = _float_kick(model, q, hf, 0.5 * dt, force_kick)
+            zb_floats = _floats(zb)
+            h = float(half)
+            if torus:
+                def drifted(qv, va, vb):
+                    """q after the half drifts by va and vb, each reduced
+                    to the torus (zip stops after the n entries of q)."""
+                    return [((x + a * h) % 1.0 + b * h) % 1.0
+                            for x, a, b in zip(qv, va, vb)]
+            else:
+                def drifted(qv, va, vb):
+                    """q after the half drifts by va and vb."""
+                    return [x + a * h + b * h for x, a, b in zip(qv, va, vb)]
+
+            def sweep(step, take, out):
+                """``body`` over the chunk on floats."""
+                qv, cv, hv = q[0].tolist(), pc[0].tolist(), hf[0].tolist()
+                kicks, kept, size = increments(take), [], 0
+                for k in range(step + 1, step + take + 1):
+                    pv = list(map(add, cv, hv))     # opening half-kick
+                    put_p(*pv)
+                    va = pv if minv_t is None else float_velocity()
+                    matmul(z, decay_t, zb)          # exact OU map of (p, s)
+                    zv = list(map(add, zb_floats(), kicks))
+                    put_z(*zv)
+                    qv = drifted(qv, va,
+                                 zv if minv_t is None else float_velocity())
+                    hv = kick_at(qv)
+                    cv = list(map(add, zv, hv))     # closing half-kick
+                    # (map stops after the n momenta of (p, s))
+                    if k % stride == 0:
+                        kept += qv
+                        kept += cv
+                        rows[size:size + row_size] = z_bytes
+                        size += row_size
+                q[0], pc[0], hf[0] = qv, cv, hv
+                finite_q(qv)
+                return keep(kept, 2 * n, size, out)
     else:
         p_now = zp
         state = [q, z]
@@ -604,6 +758,45 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
                 np.matmul(zh, gamma_t, out=drift)
                 force_kick()
                 euler_update(buf[k])
+
+            if R == 1:
+                kick_at = _float_kick(model, q, fdt, dt, force_kick)
+                drift_floats = _floats(drift)
+                if torus:
+                    def drifted(qv, vv):
+                        """q + dt v on floats, reduced to the torus."""
+                        return [(x + v * dt) % 1.0 for x, v in zip(qv, vv)]
+                else:
+                    def drifted(qv, vv):
+                        """q + dt v on floats."""
+                        return [x + v * dt for x, v in zip(qv, vv)]
+                if minv_t is not None:
+                    put_zh = _put(zh, dim)
+
+                def sweep(step, take, out):
+                    """``body`` over the chunk on floats."""
+                    qv, zv = q[0].tolist(), z[0].tolist()
+                    kicks, kept, size = increments(take), [], 0
+                    for k in range(step + 1, step + take + 1):
+                        if minv_t is None:
+                            vv = zv     # zip and map stop after p
+                        else:
+                            vv = float_velocity()
+                            put_zh(*vv, *zv[n:])
+                        matmul(zh, gamma_t, drift)
+                        fv = kick_at(qv)
+                        qv = drifted(qv, vv)
+                        zv = [x - d * dt + w for x, d, w
+                              in zip(zv, drift_floats(), kicks)]
+                        zv[:n] = map(add, zv, fv)
+                        put_z(*zv)
+                        if k % stride == 0:
+                            kept += qv
+                            rows[size:size + row_size] = z_bytes
+                            size += row_size
+                    q[0] = qv
+                    finite_q(qv)
+                    return keep(kept, n, size, out)
         else:
             gamma = np.zeros((R, dim, dim))
             sigma = np.zeros((R, dim, dim))
@@ -643,7 +836,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     out = _step_chunks(
         n_steps, stride, state, body,
         lambda: np.isfinite(z).all() and np.isfinite(p_now).all(), store,
-        chunk, begin)
+        chunk, begin, sweep)
     times = np.arange(out) * (dt * stride)
     return times, qs[:, :out], ps[:, :out], ss[:, :out], \
         (noise if collect_noise else None)
