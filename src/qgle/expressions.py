@@ -84,8 +84,8 @@ _TOKEN_RE = re.compile(
 
 _FUNCS = ("sin", "cos", "exp")
 _CYCLES_TOL = 1e-9  # torus screen: slope / (2 pi) must be this near an integer
-# and at most this large: beyond it, rounding the argument 2 pi c q alone
-# moves f(q + 1) away from f(q) by about 1e-6
+# and at most this large, as is the argument at q = 0: beyond it, rounding
+# the argument 2 pi c q alone moves f(q + 1) away from f(q) by about 1e-6
 _MAX_CYCLES = 1e9
 
 
@@ -500,6 +500,18 @@ def _interval(expr):
     return (min(corners), max(corners))
 
 
+def _at_origin(expr):
+    """``expr`` at q = 0, folded as the evaluator folds a constant tree (its
+    ufuncs on float64, under the caller's errstate): 0 * inf is NaN."""
+    if isinstance(expr, Num):
+        return np.float64(expr.value)
+    if isinstance(expr, Var):
+        return np.float64(0.0)
+    if isinstance(expr, Call):
+        return getattr(np, expr.func)(_at_origin(expr.arg))
+    return _BINARY[expr.op](_at_origin(expr.left), _at_origin(expr.right))
+
+
 def _torus_safe(expr):
     if isinstance(expr, Num):
         return True
@@ -514,15 +526,12 @@ def _torus_safe(expr):
             slope = diff_expr(expr.arg, i)
             if max_q_index(slope) >= 0:
                 return False
-            try:
-                lo, hi = _interval(slope)
-            except ExpressionError:  # a slope that divides by 0 has no value
+            cycles = _at_origin(slope) / (2.0 * math.pi)
+            if not (abs(cycles) <= _MAX_CYCLES
+                    and abs(cycles - round(cycles)) <= _CYCLES_TOL):
                 return False
-            cycles = lo / (2.0 * math.pi)
-            if (lo != hi or not abs(cycles) <= _MAX_CYCLES
-                    or abs(cycles - round(cycles)) > _CYCLES_TOL):
-                return False
-        return True
+        # the constant part, the argument at q = 0
+        return abs(_at_origin(expr.arg) / (2.0 * math.pi)) <= _MAX_CYCLES
     return _torus_safe(expr.left) and _torus_safe(expr.right)
 
 
@@ -531,15 +540,17 @@ def screen_torus_periodicity(expr):
 
     q components must occur only inside sin/cos whose argument is affine in q
     with slopes in 2*pi*Z.  The slope along q_i is ``diff_expr(arg, i)``, which
-    must be free of q and have a value (the point ``_interval`` gives) of at
-    most ``_MAX_CYCLES`` turns; constant subexpressions of any form may appear
-    in the argument.
+    must be free of q; it and the argument at q = 0, its constant part, must
+    each have a value, as the evaluator folds it (``_at_origin``), of at
+    most ``_MAX_CYCLES`` turns; constant subexpressions of any form may
+    appear in the argument.
     """
-    if not _torus_safe(expr):
-        raise ExpressionError(
-            "on a torus, q components may appear only inside sin/cos of "
-            "integer multiples of 2*pi*q_i"
-        )
+    with np.errstate(all="ignore"):
+        if not _torus_safe(expr):
+            raise ExpressionError(
+                "on a torus, q components may appear only inside sin/cos of "
+                "integer multiples of 2*pi*q_i"
+            )
 
 
 def validate_expr(expr, n, torus):

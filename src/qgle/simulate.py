@@ -6,8 +6,9 @@ Strang splitting whose friction/noise half is the exact Ornstein-Uhlenbeck
 map for constant coefficients (so with no force the (p, s) chain is exact
 in law).
 
-Stepping works in place on preallocated buffers with one step body per
-scheme, in the floating-point order of the plain expressions:
+Each scheme's step is written once (``_strang``, ``_euler``) over a few
+coarse row operations, in the floating-point order of the plain
+expressions:
 
     splitting  p += (dt/2) F(q);  q += (dt/2) M^-1 p;
                (p, s) <- (p, s) expm(-A dt)' + kick;
@@ -23,31 +24,29 @@ force is kicked straight through its gradient, as grad U(q) * (-dt/2) or
 grad U(q) * (-dt) (equal to F(q) times the step up to the sign of an exact
 zero), reaching the gradient evaluator of an expression potential
 directly.  The position-dependent Euler step evaluates the expression
-force and the entries of Gamma(q) and Sigma(q) by one evaluator call into
-preallocated buffers.  No ufunc in a step body writes over one of its own
-operands when that operand is a one-element array or a strided view,
-because numpy's overlap check costs about 1 us there: updates go through
-scratch rows instead, and scalar operands are 0-d arrays.  The steps run
-through one driver, ``_step_chunks`` (the explicit bath of ``qgle.fordkac``
-runs through it too), that checks finiteness once per chunk of steps; a
-chunk that ends non-finite (or raised a floating-point error the caller
-does not ignore) is restored from its start and replayed step by step, so
-a blowup reports the same step index and warnings as a per-step check.
+force and the entries of Gamma(q) and Sigma(q) by one evaluator call.
 
-A single replica with constant coefficients (splitting or Euler) runs each
-chunk once as a sweep on Python floats instead.  Only the products whose
-bits come from BLAS stay numpy calls: the one-row (p, s) expm(-A dt)'
-(splitting) or (M^-1 p, s) Gamma' (Euler), and p M^-1' under a general
-mass.  The half-kicks, drifts, torus reductions, increments and stride
-bookkeeping are IEEE operations on floats, with the bits of the one-element
-ufuncs.  An expression force runs the float form of its evaluator program
-(``+ - * /`` as operator functions, ``math.sin``, ``math.cos``, ``np.exp``;
-``_Evaluator.point``), any other force is called on the (1, n) buffer as in
-the numpy body.  Floats report no floating-point error, so a chunk whose
-sweep raised, recorded a numpy error or ended non-finite (q included) is
-restored and replayed step by step through the numpy body, which then
-reports as above; a caller that does not ignore underflow gets the numpy
-body throughout.
+Two sets of row operations run the same step.  The numpy set updates
+preallocated (replicas, ·) buffers in place; no ufunc in it writes over
+one of its own operands when that operand is a one-element array or a
+strided view, because numpy's overlap check costs about 1 us there, so
+updates go through scratch rows and scalar operands are 0-d arrays.  A
+single replica with constant coefficients runs on the float set instead:
+only the products whose bits come from BLAS stay numpy calls (the one-row
+(p, s) expm(-A dt)' or (M^-1 p, s) Gamma', and p M^-1' under a general
+mass), the rest are IEEE operations on Python floats with the bits of the
+one-element ufuncs, and an expression force runs the float form of its
+evaluator program (``_Evaluator.point``).
+
+The steps run through one chunk loop, ``_step_chunks`` (the explicit bath
+of ``qgle.fordkac`` runs through it too), that checks finiteness once per
+chunk of steps.  A chunk that ends non-finite (q included, on floats),
+raised a floating-point error the caller does not ignore, or met a bad
+value that floats or ``math`` signal by an ArithmeticError or ValueError
+is restored from its start and replayed step by step through the numpy
+set, so a blowup reports the same step index and warnings as a per-step
+check; any other exception propagates.  Floats report no underflow, so a
+caller that does not ignore underflow gets the numpy set throughout.
 
 A chunk's noise lives in one buffer of the run, allocated once and laid out
 step-major as (chunk, replicas, n+m), so a step reads one contiguous
@@ -83,7 +82,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IntegrationBlowupError, NonConservativeError, _located
-from .expressions import compile_exprs
+from .expressions import BinOp, Num, compile_exprs
 from .model import ExtendedState
 
 __all__ = [
@@ -392,11 +391,12 @@ def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
 
     Each chunk runs with numpy's floating-point errors
     recorded instead of reported (categories the caller ignores stay
-    ignored).  A chunk that ends non-finite, recorded an error or raised is
-    restored from its start (the arrays in ``state``) and replayed one
-    checked step at a time under the caller's errstate, so the caller sees
-    the warnings, exceptions and ``IntegrationBlowupError`` step index of a
-    per-step check.  Returns the number of rows stored, row 0 included.
+    ignored).  A chunk that ends non-finite, recorded an error or raised an
+    ArithmeticError or ValueError (others propagate) is restored from its
+    start (the arrays in ``state``) and replayed one checked step at a time
+    under the caller's errstate, so the caller sees the warnings, exceptions
+    and ``IntegrationBlowupError`` step index of a per-step check.  Returns
+    the number of rows stored, row 0 included.
     """
     def advance(step, take, out, checked):
         for k in range(take):
@@ -429,9 +429,9 @@ def _step_chunks(n_steps, stride, state, body, finite, store, chunk,
                     end = advance(step, take, out, checked=False)
                 else:
                     end = sweep(step, take, out)
-        except Exception:
-            # raised by a step after a blowup, perhaps; the checked replay
-            # raises whichever error a per-step check meets first
+        except (ArithmeticError, ValueError):
+            # a bad value, met by floats, ``math`` or a step after a blowup:
+            # the checked replay raises what a per-step check meets first
             faults.append("exception")
         if faults or not finite():
             for a, b in zip(state, saved):
@@ -457,9 +457,9 @@ def _model_evaluator(model):
 
 
 def _force_kick(model, q, out, scale, gamma=None, sigma=None):
-    """Return ``kick()``, which writes scale * F(q) into ``out`` and, when
-    the (R, n+m, n+m) buffers ``gamma`` and ``sigma`` are given, Gamma(q)
-    and Sigma(q) into them.
+    """Return ``kick()``, which writes scale * F(q) into ``out``, its result,
+    and, when the (R, n+m, n+m) buffers ``gamma`` and ``sigma`` are given,
+    Gamma(q) and Sigma(q) into them.
 
     ``q`` and ``out`` are the caller's (R, n) buffers.  The expression
     columns of the force and, with the buffers, the entries of Gamma and
@@ -490,7 +490,7 @@ def _force_kick(model, q, out, scale, gamma=None, sigma=None):
 
     def kick():
         evaluate()
-        np.multiply(fn(q), factor, out=out)
+        return np.multiply(fn(q), factor, out=out)
     return kick
 
 
@@ -507,44 +507,50 @@ def _put(a, k):
                              memoryview(a).cast("B"), 0)
 
 
-def _float_kick(model, q, out, scale, kick):
-    """Return ``kick_at(qv)``, the list scale * F(q) at the point q given as
-    a list of floats.  The expression columns of the force run their float
-    program (``_Evaluator.point``) and are scaled on floats as ``kick``
-    scales them; any other force is kicked by ``kick`` (``_force_kick``) on
-    the (1, n) buffers ``q`` and ``out``, so it is called as in the numpy
-    body."""
-    force = model.force
-    if force._columns is None:
-        put_q, out_floats = _put(q, model.n), _floats(out)
+def _strang(kick_open, exact, drift, force, kick_close):
+    """Return ``step(state, w)``, the Strang step over one op set's row ops
+    from the state (q, c, z, h): the position, the momentum after the
+    closing half-kick, (p, s) before it and the half-kick (dt/2) F(q); w is
+    the transformed increment.  Each op returns its result."""
+    def step(state, w):
+        q, c, z, h = state
+        p = kick_open(c, h)                 # opening half-kick
+        z = exact(p, z, w)                  # (p, s) expm(-A dt)' + w
+        q = drift(q, p, z)                  # by M^-1 p before and after it
+        h = force(q)
+        return q, kick_close(z, h), z, h    # closing half-kick
+    return step
 
-        def kick_at(qv):
-            put_q(*qv)
-            kick()
-            return out_floats()
-        return kick_at
-    point = force._columns.point
-    times = float((-1 if force.is_conservative else 1) * scale).__mul__
-    return lambda qv: list(map(times, point(qv)))
+
+def _euler(velocity, force, noise, drift, friction):
+    """Return ``step(state, w)``, the Euler-Maruyama step over one op set's
+    row ops from the state (q, z = (p, s)) with the increment w.  M^-1 p is
+    z itself where ``velocity`` is None (the float set, identity mass);
+    ``noise`` is None for constant coefficients (w comes transformed)."""
+    def step(state, w):
+        q, z = state
+        v = z if velocity is None else velocity(z)  # M^-1 p
+        f = force(q)                        # dt F(q) (and Gamma, Sigma at q)
+        if noise is not None:
+            w = noise(w)                    # sqrt(dt/beta) Sigma(q) w
+        # the drift goes first, as v may view z; the friction gives
+        # (p, s) - dt Gamma (M^-1 p, s) + w and then adds f to p
+        return drift(q, v), friction(z, v, w, f)
+    return step
 
 
 def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     """Advance R replicas n_steps; returns strided arrays (+ full noise).
 
-    The state lives in preallocated (R, n) and (R, n+m) buffers that one
-    step body per scheme, chosen before the loop, updates in place in the
-    floating-point order of the plain expressions (see ``_force_kick`` for
-    the force and, in the position-dependent Euler body, Gamma(q) and
-    Sigma(q) evaluated with it).
-    The splitting body carries half * F(q) from the closing half-kick of one
-    step into the opening half-kick of the next, so each step makes one
-    force call.
-
-    Under the module's no-self-overlap rule a position update goes through
-    the scratch row ``qt``, the splitting body keeps the momentum in the
-    contiguous ``pc`` and writes each half-kick across between ``pc`` and
-    the momentum block of z, and the Euler body writes its momentum kick
-    through ``pt``.
+    The scheme's step (``_strang`` or ``_euler``) runs on two op sets (see
+    the module docstring).  ``numpy_ops`` binds each op to the (R, ·)
+    buffer it writes, the ``carried`` state's own for its parts, so
+    ``body`` steps the state in place; it serves R > 1, position-dependent
+    Euler and the checked replay.  At R = 1 with constant coefficients
+    ``float_ops`` gives ``sweep``, the step over a chunk on lists of
+    floats from the carried state, which it writes back with the stored
+    rows at the chunk end.  It raises when q ends non-finite, which
+    ``finite`` does not check, so that chunk is replayed by ``body``.
 
     The steps run through ``_step_chunks``, which checks finiteness of the
     state once per chunk and replays a faulty chunk step by step.  Before a
@@ -559,17 +565,6 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     chunk is ``_NOISE_BUDGET`` // (R (n+m)) steps clamped to [64, 4096];
     the other schemes keep 4096 steps, since their product over fewer rows
     can round differently and the bits would then depend on R.
-
-    At R = 1 the splitting and constant-coefficient Euler schemes also
-    build ``sweep``, their body over a whole chunk on Python floats (see the
-    module docstring): it reads q, (p, s) and, for splitting, ``pc`` and
-    ``hf`` from the buffers as lists at the chunk start, keeps the BLAS row
-    products on the buffers (it writes p or (p, s) into ``z`` before each
-    and reads the product as floats), evaluates the force by
-    ``_float_kick``, keeps the stored rows as one flat list and writes
-    them into ``qs``, ``ps`` and ``ss`` and the state into its buffers at
-    the chunk end.  It raises when q ends non-finite, which ``finite``
-    does not check, so that chunk is replayed by ``body``.
     """
     n, m = model.n, model.m
     dim = n + m
@@ -580,8 +575,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     minv = model.mass_inv
     minv_t = None if np.array_equal(minv, np.eye(n)) else minv.T
     coeffs = model.coeffs
-    sqrt_kick = np.sqrt(dt / model.beta)
-    half, step_dt, one = np.array(0.5 * dt), np.array(dt), np.array(1.0)
+    coef = 0.5 * dt if splitting else dt  # the step of a drift or a kick
 
     n_out = n_steps // stride + 1
     qs = np.empty((R, n_out, n))
@@ -593,9 +587,9 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
 
     zp = z[:, :n]              # momentum block of the state buffer
     zs = z[:, n:]              # auxiliary block
-    vel = zp if minv_t is None else np.empty((R, n))  # M^-1 p
-    dq = np.empty((R, n))      # position increment
-    qt = np.empty((R, n))      # q + dq, before its reduction to the torus
+    zh = z if minv_t is None else np.empty((R, dim))  # (M^-1 p, s)
+    mixed = np.empty((R, dim))  # the row product of the exact map or friction
+    kick = np.empty((R, n))    # coef * F(q)
     if splitting or coeffs.constant:
         chunk = 4096
     else:
@@ -605,212 +599,205 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
     row = np.empty((chunk, dim)) if replay is None else None  # one replica's
     transform = scale = None   # the noise factor and scale ``begin`` applies
 
-    def move():
-        """q <- q + dq, reduced to the torus."""
-        np.add(q, dq, out=qt)
-        if torus:
-            np.mod(qt, one, out=q)
-        else:
-            q[...] = qt
-
-    if R == 1 and (splitting or coeffs.constant):
-        # the chunk sweep on Python floats, around the BLAS row products
-        put_z, put_p, row_size = _put(z, dim), _put(z, n), 8 * dim
-        matmul, add = np.matmul, operator.add
-        if minv_t is not None:
-            vel_floats = _floats(vel)
-
-            def float_velocity():
-                """M^-1 p on floats, by the row product of ``zp``."""
-                matmul(zp, minv_t, vel)
-                return vel_floats()
-
-        # the (p, s) rows of a chunk's stored states, copied from ``z``
-        z_rows = np.empty((chunk, dim))
-        rows, z_bytes = memoryview(z_rows).cast("B"), memoryview(z).cast("B")
-
-        def keep(kept, width, size, out):
-            """Write the chunk's stored states into rows ``out`` on: q (and,
-            at ``width`` 2n, p) kept flat as floats in ``kept``, (p, s) in
-            the first ``size`` bytes of ``rows``; returns the next row."""
-            count = size // row_size
-            end = out + count
-            floats = np.fromiter(kept, float, len(kept)).reshape(count, width)
-            qs[0, out:end] = floats[:, :n]
-            ps[0, out:end] = floats[:, n:] if width > n else z_rows[:count, :n]
-            ss[0, out:end] = z_rows[:count, n:]
-            return end
-
-        def increments(take):
-            """One iterator over the chunk's transformed increments, step
-            by step; ``map`` and ``zip`` stop at their first exhausted
-            argument, the (p, s) list of a step, and so take n+m each."""
-            return iter(buf[:take, 0].ravel().tolist())
-
-        def finite_q(qv):
-            """Raise unless q is finite, since ``finite`` does not look at
-            q and a float drift or reduction that left it non-finite
-            reported nothing."""
-            if not all(map(math.isfinite, qv)):
-                raise FloatingPointError("non-finite position")
-    sweep = None
-
+    gamma = sigma = None       # Gamma(q) and Sigma(q), position-dependent
     if splitting:
         cache = _SplittingCache.for_model(model, dt)
-        decay_t = cache.decay.T
-        zb = np.empty((R, dim))
+        mix_t, transform = cache.decay.T, cache.factor.T
         pc = zp.copy()         # momentum after the closing half-kick
-        hf = np.empty((R, n))  # half * F(q), carried between steps
-        p_now = pc
-        state = [q, z, pc, hf]  # buffers a replayed chunk restores
-        force_kick = _force_kick(model, q, hf, 0.5 * dt)
-        transform = cache.factor.T
-        if n_steps:
-            force_kick()
-
-        def body(k):
-            np.add(pc, hf, out=zp)              # opening half-kick
-            if minv_t is not None:
-                np.matmul(zp, minv_t, out=vel)
-            np.multiply(vel, half, out=dq)
-            move()
-            np.matmul(z, decay_t, out=zb)       # exact OU map of (p, s)
-            np.add(zb, buf[k], out=z)
-            if minv_t is not None:
-                np.matmul(zp, minv_t, out=vel)
-            np.multiply(vel, half, out=dq)
-            move()
-            force_kick()
-            np.add(zp, hf, out=pc)              # closing half-kick
-
-        if R == 1:
-            kick_at = _float_kick(model, q, hf, 0.5 * dt, force_kick)
-            zb_floats = _floats(zb)
-            h = float(half)
-            if torus:
-                def drifted(qv, va, vb):
-                    """q after the half drifts by va and vb, each reduced
-                    to the torus (zip stops after the n entries of q)."""
-                    return [((x + a * h) % 1.0 + b * h) % 1.0
-                            for x, a, b in zip(qv, va, vb)]
-            else:
-                def drifted(qv, va, vb):
-                    """q after the half drifts by va and vb."""
-                    return [x + a * h + b * h for x, a, b in zip(qv, va, vb)]
-
-            def sweep(step, take, out):
-                """``body`` over the chunk on floats."""
-                qv, cv, hv = q[0].tolist(), pc[0].tolist(), hf[0].tolist()
-                kicks, kept, size = increments(take), [], 0
-                for k in range(step + 1, step + take + 1):
-                    pv = list(map(add, cv, hv))     # opening half-kick
-                    put_p(*pv)
-                    va = pv if minv_t is None else float_velocity()
-                    matmul(z, decay_t, zb)          # exact OU map of (p, s)
-                    zv = list(map(add, zb_floats(), kicks))
-                    put_z(*zv)
-                    qv = drifted(qv, va,
-                                 zv if minv_t is None else float_velocity())
-                    hv = kick_at(qv)
-                    cv = list(map(add, zv, hv))     # closing half-kick
-                    # (map stops after the n momenta of (p, s))
-                    if k % stride == 0:
-                        kept += qv
-                        kept += cv
-                        rows[size:size + row_size] = z_bytes
-                        size += row_size
-                q[0], pc[0], hf[0] = qv, cv, hv
-                finite_q(qv)
-                return keep(kept, 2 * n, size, out)
+        carried, p_now = [q, pc, z, kick], pc
     else:
-        p_now = zp
-        state = [q, z]
-        zh = z if minv_t is None else np.empty((R, dim))  # (M^-1 p, s)
-        drift = np.empty((R, dim))
-        fdt = np.empty((R, n))
-        pt = np.empty((R, n))
-
-        def euler_update(kick):
-            """Position drift and (p, s) update from the pre-step state,
-            once ``force_kick`` has run."""
-            np.multiply(vel, step_dt, out=dq)
-            move()
-            np.multiply(drift, step_dt, out=drift)
-            np.subtract(z, drift, out=z)
-            np.add(z, kick, out=z)
-            np.add(zp, fdt, out=pt)
-            zp[...] = pt
-
-        def velocity():
-            if minv_t is not None:
-                np.matmul(zp, minv_t, out=vel)
-                zh[:, :n] = vel
-                zh[:, n:] = zs
-
+        carried, p_now = [q, z], zp
         if coeffs.constant:
-            gamma_t = np.ascontiguousarray(coeffs.gamma().T)
+            mix_t = np.ascontiguousarray(coeffs.gamma().T)
             transform = np.ascontiguousarray(coeffs.sigma().T)
-            scale = sqrt_kick
-            force_kick = _force_kick(model, q, fdt, dt)
-
-            def body(k):
-                velocity()
-                np.matmul(zh, gamma_t, out=drift)
-                force_kick()
-                euler_update(buf[k])
-
-            if R == 1:
-                kick_at = _float_kick(model, q, fdt, dt, force_kick)
-                drift_floats = _floats(drift)
-                if torus:
-                    def drifted(qv, vv):
-                        """q + dt v on floats, reduced to the torus."""
-                        return [(x + v * dt) % 1.0 for x, v in zip(qv, vv)]
-                else:
-                    def drifted(qv, vv):
-                        """q + dt v on floats."""
-                        return [x + v * dt for x, v in zip(qv, vv)]
-                if minv_t is not None:
-                    put_zh = _put(zh, dim)
-
-                def sweep(step, take, out):
-                    """``body`` over the chunk on floats."""
-                    qv, zv = q[0].tolist(), z[0].tolist()
-                    kicks, kept, size = increments(take), [], 0
-                    for k in range(step + 1, step + take + 1):
-                        if minv_t is None:
-                            vv = zv     # zip and map stop after p
-                        else:
-                            vv = float_velocity()
-                            put_zh(*vv, *zv[n:])
-                        matmul(zh, gamma_t, drift)
-                        fv = kick_at(qv)
-                        qv = drifted(qv, vv)
-                        zv = [x - d * dt + w for x, d, w
-                              in zip(zv, drift_floats(), kicks)]
-                        zv[:n] = map(add, zv, fv)
-                        put_z(*zv)
-                        if k % stride == 0:
-                            kept += qv
-                            rows[size:size + row_size] = z_bytes
-                            size += row_size
-                    q[0] = qv
-                    finite_q(qv)
-                    return keep(kept, n, size, out)
+            scale = np.sqrt(dt / model.beta)
         else:
-            gamma = np.zeros((R, dim, dim))
-            sigma = np.zeros((R, dim, dim))
-            kick = np.empty((R, dim))
-            sqrt_kick0 = np.array(sqrt_kick)
-            force_kick = _force_kick(model, q, fdt, dt, gamma, sigma)
+            gamma, sigma = np.zeros((2, R, dim, dim))
+    force_kick = _force_kick(model, q, kick, coef, gamma, sigma)
+    if splitting and n_steps:
+        force_kick()           # the first opening half-kick's force
+    spell = _strang if splitting else _euler
 
-            def body(k):
-                velocity()
-                force_kick()    # also Gamma(q) and Sigma(q)
-                np.einsum("rij,rj->ri", gamma, zh, out=drift)
-                np.einsum("rij,rj->ri", sigma, buf[k], out=kick)
-                np.multiply(kick, sqrt_kick0, out=kick)
-                euler_update(kick)
+    def numpy_ops():
+        """The row ops on the (R, ·) buffers, as ufuncs with ``out=``.
+        Each returns the buffer it writes, the state's own for a part of
+        the state; ``zp`` is z's momentum block, ``force_kick`` reads q."""
+        # the position increment dq and q + dq before its torus reduction
+        dq, qt = np.empty((2, R, n))
+        step, one = np.array(coef), np.array(1.0)
+
+        def move(at, v):
+            """at <- at + coef * v, reduced to the torus; returns at."""
+            np.multiply(v, step, out=dq)
+            np.add(at, dq, out=qt)
+            if torus:
+                np.mod(qt, one, out=at)
+            else:
+                at[...] = qt
+            return at
+
+        if splitting:
+            # the opening momentum, which the drift reads after the map
+            # has overwritten zp, and the velocities under a general mass
+            p_open, va, vb = np.empty((3, R, n))
+
+            def exact(p, at, w):
+                zp[...] = p
+                np.matmul(at, mix_t, out=mixed)
+                return np.add(mixed, w, out=at)
+
+            def drift(at, p, _):  # the momentum after the map is zp
+                if minv_t is None:
+                    return move(move(at, p), zp)
+                return move(move(at, np.matmul(p, minv_t, out=va)),
+                            np.matmul(zp, minv_t, out=vb))
+
+            return dict(kick_open=functools.partial(np.add, out=p_open),
+                        exact=exact, drift=drift,
+                        force=lambda _: force_kick(),
+                        kick_close=lambda _, h: np.add(zp, h, out=pc))
+        if coeffs.constant:
+            product = functools.partial(np.matmul, zh, mix_t, out=mixed)
+            sigma_kick = None
+        else:
+            product = functools.partial(np.einsum, "rij,rj->ri", gamma, zh,
+                                        out=mixed)
+            noisy = np.empty((R, dim))
+            root = np.array(np.sqrt(dt / model.beta))
+
+            def sigma_kick(w):
+                np.einsum("rij,rj->ri", sigma, w, out=noisy)
+                return np.multiply(noisy, root, out=noisy)
+        v_row, pt = np.empty((2, R, n))
+
+        def velocity(_):  # M^-1 p, from zp, the momentum block of z
+            return zp if minv_t is None else np.matmul(zp, minv_t, out=v_row)
+
+        def friction(at, v, w, f):
+            if minv_t is not None:
+                zh[:, :n] = v
+                zh[:, n:] = zs
+            d = product()
+            np.multiply(d, step, out=d)
+            np.subtract(at, d, out=at)
+            np.add(at, w, out=at)
+            np.add(zp, f, out=pt)
+            zp[...] = pt
+            return at
+
+        return dict(velocity=velocity, force=lambda _: force_kick(),
+                    noise=sigma_kick, drift=move, friction=friction)
+
+    def float_ops():
+        """The row ops at R = 1 on lists of floats with the one-element
+        ufuncs' bits; the row products, whose bits come from BLAS, stay numpy
+        calls on the (1, ·) buffers.  A row op stops at its shorter row."""
+        put_z, mixed_floats = _put(z, dim), _floats(mixed)
+        add, matmul = operator.add, np.matmul
+        velocity = None
+        if minv_t is not None:
+            p_in, v_out = np.empty((1, n)), np.empty((1, n))
+            put_v, v_floats = _put(p_in, n), _floats(v_out)
+
+            def velocity(p):
+                put_v(*p[:n])
+                matmul(p_in, minv_t, v_out)
+                return v_floats()
+
+        columns = model.force._columns
+        if columns is None:  # kicked on the buffers, as ``body`` kicks it
+            put_q, kick_floats = _put(q, n), _floats(kick)
+
+            def force(qv):
+                put_q(*qv)
+                force_kick()
+                return kick_floats()
+        else:  # the float program of the columns times the kick's factor,
+            # built once per (model, factor)
+            factor = (-1.0 if model.force.is_conservative else 1.0) * coef
+            key = ("float force", factor)
+            scaled = model._derived.get(key)
+            if scaled is None:
+                scaled = model._derived[key] = compile_exprs(
+                    [BinOp("*", tree, Num(factor)) for tree in columns.trees])
+            force = scaled.point
+
+        if splitting:
+            def row_add(a, b):
+                return list(map(add, a, b))
+
+            def exact(p, zv, w):
+                put_z(*p, *zv[n:])
+                matmul(z, mix_t, mixed)
+                return list(map(add, mixed_floats(), w))
+
+            def drift(qv, p, zv):
+                if velocity is not None:
+                    p, zv = velocity(p), velocity(zv)
+                if torus:
+                    return [((x + a * coef) % 1.0 + b * coef) % 1.0
+                            for x, a, b in zip(qv, p, zv)]
+                return [x + a * coef + b * coef for x, a, b in zip(qv, p, zv)]
+
+            return dict(kick_open=row_add, exact=exact, drift=drift,
+                        force=force, kick_close=row_add)
+        put_zh = _put(zh, dim)
+
+        def friction(zv, v, w, f):
+            if minv_t is None:  # zh is z
+                put_z(*zv)
+            else:
+                put_zh(*v, *zv[n:])
+            matmul(zh, mix_t, mixed)
+            zv = [x - e * coef + y for x, e, y in zip(zv, mixed_floats(), w)]
+            zv[:n] = map(add, zv, f)
+            return zv
+
+        def drift(qv, v):
+            if torus:
+                return [(x + a * coef) % 1.0 for x, a in zip(qv, v)]
+            return [x + a * coef for x, a in zip(qv, v)]
+
+        return dict(velocity=velocity, force=force, noise=None, drift=drift,
+                    friction=friction)
+
+    numpy_step = spell(**numpy_ops())
+
+    def body(k):
+        carried[:] = numpy_step(carried, buf[k])
+
+    sweep = None
+    if R == 1 and coeffs.constant:
+        float_step = spell(**float_ops())
+        # the floats kept per stored state: q, then c and (p, s) or (p, s)
+        width = n + dim + (n if splitting else 0)
+
+        def sweep(start, take, out):
+            """``body`` over the chunk on floats; stores its own rows and
+            returns the next one."""
+            now = [a[0].tolist() for a in carried]
+            # one iterator over the chunk's increments: a step's ``map``
+            # or ``zip`` stops at the end of its (p, s) row, so takes n+m
+            w = iter(buf[:take, 0].ravel().tolist())
+            kept = []
+            for k in range(start + 1, start + take + 1):
+                now = float_step(now, w)
+                if k % stride == 0:
+                    kept += now[0]
+                    kept += now[1]
+                    if splitting:  # p is c; s is in (p, s) after the map
+                        kept += now[2]
+            for a, values in zip(carried, now):
+                a[0] = values
+            if not all(map(math.isfinite, now[0])):
+                # ``finite`` does not look at q, and floats report nothing
+                raise FloatingPointError("non-finite position")
+            kept = np.fromiter(kept, float, len(kept)).reshape(-1, width)
+            end = out + len(kept)
+            qs[0, out:end] = kept[:, :n]
+            ps[0, out:end] = kept[:, n:2 * n]
+            ss[0, out:end] = kept[:, width - m:]
+            return end
 
     def begin(step, take):
         """Fill ``buf[:take]`` with the chunk's increments, replica by
@@ -834,7 +821,7 @@ def _run_batch(model, integ, q, p, s, streams, collect_noise, replay=None):
 
     store(0)
     out = _step_chunks(
-        n_steps, stride, state, body,
+        n_steps, stride, carried, body,
         lambda: np.isfinite(z).all() and np.isfinite(p_now).all(), store,
         chunk, begin, sweep)
     times = np.arange(out) * (dt * stride)

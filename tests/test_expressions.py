@@ -16,6 +16,7 @@ from qgle.expressions import (
     screen_torus_periodicity,
     validate_expr,
 )
+from qgle.expressions import _MAX_CYCLES
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -71,11 +72,14 @@ def test_euclidean_division_screen_covers_the_real_line():
     for torus in (False, True):
         with pytest.raises(ExpressionError, match="over R\\^n"):
             validate_expr(parse_expr("1/(2+q1)"), 1, torus=torus)
+    # float64 exp is exactly 0 below about -745, so an exponential
+    # denominator reaches zero: exp(0-q1) is how 1/exp(q1) is written
     for text in ("1/(q1-2)", "1/(0*q1)", "1/(q1*exp(q1))",
-                 "1/(1e999-1e999)"):
+                 "1/(1e999-1e999)", "1/exp(q1)", "exp(2*q1)/exp(q1)"):
         with pytest.raises(ExpressionError):
             validate_expr(parse_expr(text), 1, torus=False)
-    for text in ("1/(2+cos(q1))", "1/(1+q1*q1)", "1/(1+exp(q1)*exp(q1))"):
+    for text in ("1/(2+cos(q1))", "1/(1+q1*q1)", "1/(1+exp(q1)*exp(q1))",
+                 "exp(0-q1)"):
         validate_expr(parse_expr(text), 1, torus=False)
     validate_expr(parse_expr("1/(2+cos(2*pi*q1))"), 1, torus=True)
 
@@ -111,6 +115,20 @@ def test_torus_periodicity_screen():
     # this screen's rejection
     with pytest.raises(ExpressionError, match="on a torus"):
         screen_torus_periodicity(parse_expr("cos(2*pi*q1/(1-1))"))
+
+
+def test_torus_screen_bounds_the_constant_part_of_an_argument():
+    # q1 + exp(exp(pi)) keeps q1 only to about 2e-6, so f(q + 1) and f(q)
+    # differ by about 1e-5: a constant part of 1e10 turns is rejected like
+    # a slope of 1e10 turns, and one of 1.6e5 turns is not; a constant
+    # part that is an infinity or NaN in floats has no turns
+    for text in ("sin(2*pi*(q1+exp(exp(pi))))", "cos(2*pi*q1+1e300*1e300)",
+                 "sin(2*pi*q1+exp(1000))", "sin(2*pi*q1+0*(1/1e-320))",
+                 "cos(2*pi*q1+1/(1-1))"):
+        with pytest.raises(ExpressionError, match="on a torus"):
+            screen_torus_periodicity(parse_expr(text))
+    validate_expr(parse_expr("sin(2*pi*q1+1e6)"), 1, torus=True)
+    validate_expr(parse_expr("cos(2*pi*(q1+q2)-2*pi*1e8)"), 2, torus=True)
 
 
 @pytest.mark.parametrize("text", [
@@ -152,10 +170,13 @@ _CONSTANTS = st.recursive(
 def test_torus_screen_accepts_exactly_integer_cycles(whole, part, c, func):
     # argument k*2*pi*q1 + c with a constant subtree c: the slope is
     # 2 pi k whatever c is, so the entry is periodic iff k is an integer
+    # and c, the argument at q = 0, has a value of at most _MAX_CYCLES turns
     term = BinOp("*", BinOp("*", BinOp("*", Num(whole + part), Num(2.0)),
                             Num(math.pi)), Var(0))
     entry = Call(func, BinOp("+", term, c))
-    if part == 0.0:
+    with np.errstate(all="ignore"):  # as evaluated: NaN or inf has no turns
+        constant = compile_exprs([c])(np.zeros((1, 1)))[0, 0]
+    if part == 0.0 and abs(constant / (2.0 * math.pi)) <= _MAX_CYCLES:
         screen_torus_periodicity(entry)
     else:
         with pytest.raises(ExpressionError):

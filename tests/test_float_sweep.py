@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgle.expressions import (BinOp, Call, ExpressionError, Num, Var,
-                              compile_exprs, diff_expr, parse_expr,
-                              validate_expr)
+                              _Evaluator, compile_exprs, diff_expr,
+                              parse_expr, validate_expr)
 from qgle.fordkac import FordKacSpectrum, fordkac_ensemble
 from qgle.model import CoefficientField, Domain, ExtendedState, ForceField, \
     ModelSpec
@@ -235,6 +235,22 @@ def test_single_replica_constant_runs_take_the_sweep_throughout(
                           s=np.full(model.m, -0.2))
     simulate(model, integ, start)
     assert counts == {"sweeps": 2, "steps": 0}
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "semi_exact_splitting"])
+def test_a_program_fault_in_the_sweep_reaches_the_caller(scheme,
+                                                         monkeypatch):
+    # only a bad value sends a chunk to the numpy replay: a TypeError is a
+    # fault of the program, which the replay would hide behind the right
+    # bits
+    def broken(self, q):
+        raise TypeError("broken float program")
+
+    monkeypatch.setattr(_Evaluator, "point", broken)
+    integ = IntegratorSpec(scheme, dt=0.01, n_steps=100)
+    with pytest.raises(TypeError, match="broken float program"):
+        simulate(prony_model(), integ,
+                 ExtendedState(q=[0.3], p=[0.5], s=[0.0]))
 
 
 def test_wide_single_replica_run_matches_reference_steps_bitwise():
